@@ -197,12 +197,23 @@ func runSizes(ctx context.Context, reg *dwarfs.Registry, b dwarfs.Benchmark, siz
 		Devices:    []string{dev.ID()},
 		Options:    opt,
 		Workers:    workers,
-		Progress:   os.Stdout,
 	}
 	if st != nil {
 		spec.Store = st
 	}
-	g, err := harness.RunGrid(ctx, reg, spec)
+	events, err := harness.Stream(ctx, reg, spec)
+	if err != nil {
+		fatal(err)
+	}
+	var g *harness.Grid
+	for ev := range events {
+		if line := ev.ProgressLine(); line != "" {
+			fmt.Println(line)
+		}
+		if ev.Kind == harness.EventGridDone {
+			g, err = ev.Grid, ev.Err
+		}
+	}
 	if err != nil {
 		fatal(err)
 	}

@@ -305,8 +305,9 @@ func (s *server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 // runJob consumes the job's event stream to completion. The harness
 // persists every measured cell before announcing it, so this loop only
 // mirrors events into the log; on the terminal event it settles the job
-// state and reloads the query snapshot from the store so /v1/grid and
-// /v1/predict serve the new cells.
+// state and publishes a fresh query snapshot from the store, so the next
+// /v1/grid, /v1/predict and /v1/schedule serve the new cells with models
+// trained on them.
 func (s *server) runJob(j *job, events <-chan harness.Event) {
 	defer s.jobWG.Done()
 	defer j.cancel()

@@ -5,7 +5,7 @@
 // server adds O(1) cell addressing by benchmark × size × device) and
 // answers JSON queries:
 //
-//	GET    /healthz                               liveness (plus quarantined devices, deprecated)
+//	GET    /healthz                               liveness
 //	GET    /v1/status                             build info, uptime, cell/segment/job counts
 //	GET    /metrics                               Prometheus text exposition of the server registry
 //	GET    /v1/cells?bench=fft&size=tiny&device=gtx1080   filtered cell summaries
@@ -29,7 +29,8 @@
 // /v1/predict trains the internal/predict random forest over all stored
 // cells on first use (deterministic in -seed, retrained after a job adds
 // cells) and answers for any catalogue device — including devices the
-// benchmark never ran on, the paper's §7 scenario.
+// benchmark never ran on, the paper's §7 scenario. /v1/schedule reuses
+// that same forest for its time costs.
 //
 // Every request passes a metrics/logging middleware (route-labelled
 // request counters and latency histograms; 4xx/5xx logged server-side),
@@ -62,6 +63,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -157,7 +159,7 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.ListenAndServe() }()
 	log.Printf("dwarfserve: %d cells from %s (%d shard(s), %d segment files), listening on %s",
-		srv.cells(), *storeDir, *shards, store.SegmentsOf(st), *addr)
+		srv.snap.Load().grid.Cells(), *storeDir, *shards, st.Segments(), *addr)
 
 	select {
 	case err := <-serveErr:
@@ -206,10 +208,12 @@ func main() {
 	log.Printf("dwarfserve: store closed, bye")
 }
 
-// server answers queries from a grid snapshot of the store. The snapshot is
-// loaded at startup and reloaded whenever an async job finishes, so query
-// handlers see new cells without a restart; sweeps run by other processes
-// still become visible on restart only.
+// server answers queries from an immutable snapshot of the store, loaded
+// at startup and replaced whenever an async job finishes, so query handlers
+// see new cells without a restart; sweeps run by other processes still
+// become visible on restart only. Each handler loads the snapshot once and
+// answers entirely from it, models included, so a reload mid-request never
+// mixes two generations.
 type server struct {
 	st          store.CellStore
 	compactOver int64 // post-reload footprint bound in bytes; 0 = unbounded
@@ -218,27 +222,8 @@ type server struct {
 	metrics     *obs.Registry // one registry for HTTP, store, jobs and gauges
 	started     time.Time     // process start, for /v1/status uptime
 
-	// mu guards the query snapshot: the grid, the O(1) cell index and the
-	// axes (distinct values in store listing order).
-	mu                         sync.RWMutex
-	grid                       *harness.Grid
-	byCell                     map[string]*harness.Measurement
-	benchmarks, sizes, devices []string
-	gridGen                    int // bumped per reload; stale forests retrain
-
-	// The forest is trained lazily on first /v1/predict over the snapshot
-	// of the current generation; a reload invalidates it.
-	trainMu    sync.Mutex
-	trainedGen int
-	forest     *predict.Forest
-	trainErr   error
-
-	// The scheduler's cost provider follows the same generation
-	// discipline, built lazily on first /v1/schedule; see schedule.go.
-	schedMu    sync.Mutex
-	schedGen   int
-	schedCosts *sched.Costs
-	schedErr   error
+	// snap is the current query snapshot; see snapshot.
+	snap atomic.Pointer[snapshot]
 
 	// Async sweep jobs; see jobs.go.
 	jobMu      sync.Mutex
@@ -279,15 +264,13 @@ func newServer(st store.CellStore, cfg predict.Config) (*server, error) {
 		cfg:         cfg,
 		metrics:     obs.NewRegistry(),
 		started:     time.Now(),
-		trainedGen:  -1,
-		schedGen:    -1,
 		jobs:        make(map[string]*job),
 		keepAlive:   15 * time.Second,
 		quarantined: make(map[string]string),
 	}
 	// Instrument before the first read so the startup snapshot's slot-cache
 	// misses (and any store counters) are visible on /metrics.
-	store.InstrumentStore(st, s.metrics)
+	st.Instrument(s.metrics)
 	if err := s.initTelemetry(series.Options{}, defaultAlertRules()); err != nil {
 		return nil, err
 	}
@@ -314,38 +297,80 @@ func newServer(st store.CellStore, cfg predict.Config) (*server, error) {
 	return s, nil
 }
 
-// cells reports the current snapshot's cell count.
-func (s *server) cells() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.grid.Cells()
+// snapshot is one generation of the query state: the grid, its O(1) cell
+// index and axes (distinct values in store listing order), and the models
+// trained on it. It is never mutated after publication except through its
+// Onces, so a request that took an old snapshot can only ever fill that
+// snapshot's own models — never a newer generation's.
+type snapshot struct {
+	grid                       *harness.Grid
+	byCell                     map[string]*harness.Measurement
+	benchmarks, sizes, devices []string
+
+	// The time forest is trained on first /v1/predict or /v1/schedule.
+	forestOnce sync.Once
+	forest     *predict.Forest
+	forestErr  error
+
+	// The scheduler's cost provider is built on first /v1/schedule around
+	// the same time forest; only its energy forest is trained anew.
+	costsOnce sync.Once
+	costs     *sched.Costs
+	costsErr  error
 }
 
-// setGrid installs a fresh query snapshot and invalidates the forest.
-func (s *server) setGrid(grid *harness.Grid) {
-	byCell := make(map[string]*harness.Measurement, grid.Cells())
-	var benchmarks, sizes, devices []string
+func newSnapshot(grid *harness.Grid) *snapshot {
+	sn := &snapshot{grid: grid, byCell: make(map[string]*harness.Measurement, grid.Cells())}
 	seenB, seenS, seenD := map[string]bool{}, map[string]bool{}, map[string]bool{}
 	for _, m := range grid.Measurements {
-		byCell[cellID(m.Benchmark, m.Size, m.Device.ID)] = m
+		sn.byCell[cellID(m.Benchmark, m.Size, m.Device.ID)] = m
 		if !seenB[m.Benchmark] {
 			seenB[m.Benchmark] = true
-			benchmarks = append(benchmarks, m.Benchmark)
+			sn.benchmarks = append(sn.benchmarks, m.Benchmark)
 		}
 		if !seenS[m.Size] {
 			seenS[m.Size] = true
-			sizes = append(sizes, m.Size)
+			sn.sizes = append(sn.sizes, m.Size)
 		}
 		if !seenD[m.Device.ID] {
 			seenD[m.Device.ID] = true
-			devices = append(devices, m.Device.ID)
+			sn.devices = append(sn.devices, m.Device.ID)
 		}
 	}
-	s.mu.Lock()
-	s.grid, s.byCell = grid, byCell
-	s.benchmarks, s.sizes, s.devices = benchmarks, sizes, devices
-	s.gridGen++
-	s.mu.Unlock()
+	return sn
+}
+
+// timeForest returns the snapshot's time forest, training it
+// (deterministically in cfg.Seed) on first use.
+func (sn *snapshot) timeForest(cfg predict.Config) (*predict.Forest, error) {
+	sn.forestOnce.Do(func() {
+		ds, err := predict.FromGrid(sn.grid)
+		if err != nil {
+			sn.forestErr = err
+			return
+		}
+		sn.forest, sn.forestErr = predict.Train(ds, cfg)
+	})
+	return sn.forest, sn.forestErr
+}
+
+// scheduleCosts returns the snapshot's cost provider, built on first use
+// around timeForest. The energy forest stays on this path only: a store
+// whose energy medians cannot train one (an NVML power dropout stores a
+// zero median) still answers /v1/predict.
+func (sn *snapshot) scheduleCosts(cfg predict.Config) (*sched.Costs, error) {
+	sn.costsOnce.Do(func() {
+		timeF, err := sn.timeForest(cfg)
+		if err != nil {
+			// NewCosts owns the schedule path's error wording; it fails at
+			// the same (untrained) stage as timeForest did, so no forest
+			// is trained twice.
+			sn.costs, sn.costsErr = sched.NewCosts(sn.grid, cfg)
+			return
+		}
+		sn.costs, sn.costsErr = sched.NewCostsFrom(sn.grid, timeF, cfg)
+	})
+	return sn.costs, sn.costsErr
 }
 
 // reloadFromStore rebuilds the snapshot from the store — called after a
@@ -356,7 +381,7 @@ func (s *server) reloadFromStore() error {
 	if err != nil {
 		return err
 	}
-	s.setGrid(grid)
+	s.snap.Store(newSnapshot(grid))
 	return nil
 }
 
@@ -368,19 +393,15 @@ func (s *server) maybeCompact() {
 	if s.compactOver <= 0 {
 		return
 	}
-	sb, ok := s.st.(store.SizeBounded)
-	if !ok {
-		return
-	}
-	compacted, err := sb.CompactIfOver(s.compactOver)
+	compacted, err := s.st.CompactIfOver(s.compactOver)
 	if err != nil {
 		log.Printf("dwarfserve: compact-over: %v", err)
 		return
 	}
 	if compacted {
-		bytes, _ := sb.DiskBytes()
+		bytes, _ := s.st.DiskBytes()
 		log.Printf("dwarfserve: store compacted under -compact-over=%d (now %d bytes, %d segment file(s))",
-			s.compactOver, bytes, store.SegmentsOf(s.st))
+			s.compactOver, bytes, s.st.Segments())
 	}
 }
 
@@ -448,20 +469,10 @@ func (s *server) quarantinedDevices() []string {
 	return out
 }
 
-// handleHealth is pure liveness: the process is up and answering. The
-// cell/segment/schema/job counters that used to live here moved to
-// /v1/status.
-//
-// Deprecated: the `quarantined` field is kept only for pre-/v1/status
-// clients and will be removed once none remain; every in-repo consumer
-// (the chaos CI gate, chaos_test.go) now reads it from /v1/status, and
-// new callers must too (see README "Deprecations").
+// handleHealth is pure liveness: the process is up and answering. Cell,
+// segment, job and quarantine state lives in /v1/status.
 func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	resp := map[string]any{"status": "ok"}
-	if quar := s.quarantinedDevices(); len(quar) > 0 {
-		resp["quarantined"] = quar
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
 }
 
 // defaultCellPageLimit bounds an unpaginated /v1/cells answer; clients
@@ -494,30 +505,17 @@ func decodeCursor(s string) (string, error) {
 //
 // total counts every cell matching the filters; items holds at most limit=
 // of them (default 500) starting after cursor=; next_cursor is the opaque
-// position to resume from, empty on the last page. ?legacy=1 serves the
-// deprecated pre-pagination {"count", "cells"} shape unpaginated; it will
-// be removed once known clients have migrated (see README).
+// position to resume from, empty on the last page.
 func (s *server) handleCells(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	bench, size, device := q.Get("bench"), q.Get("size"), q.Get("device")
 	var matched []*harness.Measurement
-	s.mu.RLock()
-	for _, m := range s.grid.Measurements {
+	for _, m := range s.snap.Load().grid.Measurements {
 		if (bench == "" || m.Benchmark == bench) &&
 			(size == "" || m.Size == size) &&
 			(device == "" || m.Device.ID == device) {
 			matched = append(matched, m)
 		}
-	}
-	s.mu.RUnlock()
-
-	if q.Get("legacy") == "1" {
-		cells := make([]cellSummary, 0, len(matched))
-		for _, m := range matched {
-			cells = append(cells, summarize(m))
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"count": len(cells), "cells": cells})
-		return
 	}
 
 	limit := defaultCellPageLimit
@@ -557,20 +555,18 @@ func (s *server) handleCells(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleGrid(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	cells := make([]cellSummary, 0, s.grid.Cells())
-	for _, m := range s.grid.Measurements {
+	sn := s.snap.Load()
+	cells := make([]cellSummary, 0, sn.grid.Cells())
+	for _, m := range sn.grid.Measurements {
 		cells = append(cells, summarize(m))
 	}
-	resp := map[string]any{
-		"benchmarks": s.benchmarks,
-		"sizes":      s.sizes,
-		"devices":    s.devices,
+	writeJSON(w, http.StatusOK, map[string]any{
+		"benchmarks": sn.benchmarks,
+		"sizes":      sn.sizes,
+		"devices":    sn.devices,
 		"count":      len(cells),
 		"cells":      cells,
-	}
-	s.mu.RUnlock()
-	writeJSON(w, http.StatusOK, resp)
+	})
 }
 
 func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
@@ -581,22 +577,20 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Snapshot the generation's grid: training and lookup must agree even
-	// if a job reloads the snapshot mid-request.
-	s.mu.RLock()
-	grid, gen, devices := s.grid, s.gridGen, s.devices
+	// One snapshot answers the whole request: training and lookup agree
+	// even if a job reloads the snapshot mid-request.
+	sn := s.snap.Load()
 	// The workload half of the feature vector comes from any stored
 	// measurement of this benchmark × size — AIWC profiles are
 	// device-independent, so the first one is as good as any.
 	var src *harness.Measurement
-	for _, d := range devices {
-		if m := s.byCell[cellID(bench, size, d)]; m != nil {
+	for _, d := range sn.devices {
+		if m := sn.byCell[cellID(bench, size, d)]; m != nil {
 			src = m
 			break
 		}
 	}
-	actual := s.byCell[cellID(bench, size, device)]
-	s.mu.RUnlock()
+	actual := sn.byCell[cellID(bench, size, device)]
 	if src == nil {
 		writeError(w, http.StatusNotFound,
 			fmt.Sprintf("no stored measurement of %s/%s on any device; sweep it into the store first", bench, size))
@@ -617,7 +611,7 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	forest, err := s.trainedForest(grid, gen)
+	forest, err := sn.timeForest(s.cfg)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -630,35 +624,13 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		"device":         device,
 		"predicted_ns":   predNs,
 		"measured":       actual != nil,
-		"training_cells": grid.Cells(),
+		"training_cells": sn.grid.Cells(),
 	}
 	if actual != nil {
 		resp["actual_ns"] = actual.Kernel.Median
 		resp["ape"] = 100 * math.Abs(predNs-actual.Kernel.Median) / actual.Kernel.Median
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// trainedForest returns the forest for the given snapshot generation,
-// training it (deterministically in cfg.Seed) when the cached one is
-// missing or was trained on an older generation. A request that snapshot
-// its grid before a reload trains without caching, so a straggler can
-// never overwrite a newer generation's forest and force re-training.
-func (s *server) trainedForest(grid *harness.Grid, gen int) (*predict.Forest, error) {
-	s.trainMu.Lock()
-	defer s.trainMu.Unlock()
-	if s.trainedGen == gen {
-		return s.forest, s.trainErr
-	}
-	ds, err := predict.FromGrid(grid)
-	if err != nil {
-		return nil, err
-	}
-	forest, trainErr := predict.Train(ds, s.cfg)
-	if gen > s.trainedGen {
-		s.forest, s.trainErr, s.trainedGen = forest, trainErr, gen
-	}
-	return forest, trainErr
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -126,7 +126,7 @@ func TestCellsFilter(t *testing.T) {
 
 // TestCellsPagination walks the 4-cell snapshot one cell at a time through
 // the cursor, checks the pages tile the full listing exactly, and verifies
-// the deprecated ?legacy=1 shape and limit/cursor validation.
+// limit/cursor validation and that the retired ?legacy=1 flag is ignored.
 func TestCellsPagination(t *testing.T) {
 	srv, _ := newTestServer(t)
 
@@ -166,10 +166,9 @@ func TestCellsPagination(t *testing.T) {
 		t.Fatalf("paged items differ from full listing:\npaged: %s\nfull:  %s", got, want)
 	}
 
-	// The deprecated shape still answers under ?legacy=1.
-	legacy := get(t, srv, "/v1/cells?legacy=1", http.StatusOK)
-	if int(legacy["count"].(float64)) != 4 || len(legacy["cells"].([]any)) != 4 {
-		t.Fatalf("legacy shape wrong: %v", legacy)
+	// The pre-pagination shape is gone: ?legacy=1 gets the envelope.
+	if legacy := getRaw(t, srv, "/v1/cells?legacy=1"); legacy != getRaw(t, srv, "/v1/cells") {
+		t.Fatalf("?legacy=1 answered %s, want the paginated envelope", legacy)
 	}
 
 	get(t, srv, "/v1/cells?limit=0", http.StatusBadRequest)

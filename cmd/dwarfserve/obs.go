@@ -18,7 +18,6 @@ import (
 
 	"opendwarfs/internal/harness"
 	"opendwarfs/internal/obs"
-	"opendwarfs/internal/store"
 )
 
 // statusWriter captures the response code (and, for error responses, a
@@ -123,10 +122,6 @@ func buildVersion() (version, goVersion, revision string) {
 // store snapshot counters that used to live in /healthz, and the job and
 // SSE-subscriber population.
 func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	cells := s.grid.Cells()
-	s.mu.RUnlock()
-
 	s.jobMu.Lock()
 	jobs := len(s.jobs)
 	byState := map[string]int{}
@@ -153,8 +148,8 @@ func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		"go_version":      goVersion,
 		"vcs_revision":    revision,
 		"uptime_ms":       float64(time.Since(s.started)) / 1e6,
-		"cells":           cells,
-		"segments":        store.SegmentsOf(s.st),
+		"cells":           s.snap.Load().grid.Cells(),
+		"segments":        s.st.Segments(),
 		"schema":          harness.StoreSchemaVersion,
 		"jobs":            jobs,
 		"jobs_by_state":   byState,

@@ -1,5 +1,5 @@
-// Streaming: live per-cell progress from the typed event channel — the
-// observability surface the legacy Progress io.Writer could not offer.
+// Streaming: live per-cell progress from the typed event channel — richer
+// than the one-line-per-cell text of Event.ProgressLine.
 // A Session streams a small grid; the consumer renders each event as it
 // arrives (claimed, measured, served from store), keeps a running progress
 // bar, and demonstrates clean mid-grid cancellation: press Ctrl-C and the

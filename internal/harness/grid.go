@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"sort"
 	"sync"
@@ -34,14 +33,6 @@ type GridSpec struct {
 	// worker count — cells are pure functions of (benchmark, size,
 	// device, seed), never of execution order.
 	Workers int
-	// Progress, when non-nil, receives one line per completed cell.
-	// Writes are serialised; under concurrency lines arrive in completion
-	// order, each prefixed with a "cell k/n" counter.
-	//
-	// Deprecated: consume the typed event stream instead (Stream, or
-	// opendwarfs.Session.Stream). Progress remains functional for one
-	// release; it is rendered from the same events.
-	Progress io.Writer
 	// Store, when non-nil, makes the run incremental: each cell's
 	// fingerprint (CellKey) is looked up before measuring, hits are decoded
 	// instead of recomputed, and misses are measured then persisted. An
@@ -250,8 +241,7 @@ func RunGrid(ctx context.Context, reg *dwarfs.Registry, spec GridSpec) (*Grid, e
 // runGrid is the worker-pool core shared by Stream (and through it,
 // RunGrid). It emits one CellStart per claimed cell and one CellDone or
 // StoreHit per completed cell via emit — which must be non-nil and is
-// called from worker goroutines, serialised by an internal mutex — and
-// renders the legacy spec.Progress lines from those same events.
+// called from worker goroutines, serialised by an internal mutex.
 func runGrid(ctx context.Context, spec GridSpec, cells []gridCell, nDevices int, emit func(Event)) (*Grid, error) {
 	started := now()
 	if len(cells) == 0 {
@@ -318,8 +308,7 @@ func runGrid(ctx context.Context, spec GridSpec, cells []gridCell, nDevices int,
 	// send serialises event emission. Completion counters are assigned
 	// under the same mutex, so Done (and the hit/miss snapshot) is
 	// monotonically non-decreasing in emission order — consumers never
-	// see "cell 2/n" before "cell 1/n". Completion events also render
-	// the deprecated Progress line so legacy consumers keep working.
+	// see "cell 2/n" before "cell 1/n".
 	send := func(ev Event) {
 		emitMu.Lock()
 		defer emitMu.Unlock()
@@ -351,11 +340,6 @@ func runGrid(ctx context.Context, spec GridSpec, cells []gridCell, nDevices int,
 			mo.quarantines.Inc()
 		}
 		ev.Retries, ev.Failed = int(retries.Load()), int(failedN.Load())
-		if spec.Progress != nil {
-			if line := ev.ProgressLine(); line != "" {
-				fmt.Fprintln(spec.Progress, line)
-			}
-		}
 		emit(ev)
 	}
 

@@ -164,13 +164,11 @@ func TestRecords(t *testing.T) {
 
 func TestRunGridSelection(t *testing.T) {
 	reg := suite.New()
-	var progress strings.Builder
 	g, err := RunGrid(context.Background(), reg, GridSpec{
 		Benchmarks: []string{"csr", "crc"},
 		Sizes:      []string{"tiny", "small"},
 		Devices:    []string{"i7-6700k", "gtx1080"},
 		Options:    quickOpts(),
-		Progress:   &progress,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -186,9 +184,6 @@ func TestRunGridSelection(t *testing.T) {
 	}
 	if got := len(g.ByBenchmark("crc")); got != 4 {
 		t.Fatalf("ByBenchmark returned %d, want 4", got)
-	}
-	if !strings.Contains(progress.String(), "csr") {
-		t.Fatal("progress not written")
 	}
 }
 
@@ -333,21 +328,15 @@ func TestRunGridParallelDeterminism(t *testing.T) {
 
 func TestRunGridWorkersRace(t *testing.T) {
 	// Exercises the concurrent path under -race: 8 workers on one small
-	// grid, functional rows included, progress writer attached.
+	// grid, functional rows included.
 	reg := suite.New()
-	var progress strings.Builder
-	spec := gridSpecForWorkers(8)
-	spec.Progress = &progress
-	g, err := RunGrid(context.Background(), reg, spec)
+	g, err := RunGrid(context.Background(), reg, gridSpecForWorkers(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 3 benchmarks × 2 sizes × 4 devices + nqueens tiny × 4.
 	if want := 3*2*4 + 4; g.Cells() != want {
 		t.Fatalf("%d cells, want %d", g.Cells(), want)
-	}
-	if !strings.Contains(progress.String(), "cell ") {
-		t.Fatal("progress lines missing cell counter")
 	}
 }
 

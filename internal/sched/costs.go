@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -68,7 +69,7 @@ func rowKey(bench, size string) string          { return bench + "\x00" + size }
 // count.
 func NewCosts(g *harness.Grid, cfg predict.Config) (*Costs, error) {
 	if g == nil || g.Cells() == 0 {
-		return nil, fmt.Errorf("sched: no measured cells to build a cost model from")
+		return nil, errNoCells
 	}
 	timeDS, err := predict.FromGrid(g)
 	if err != nil {
@@ -77,6 +78,20 @@ func NewCosts(g *harness.Grid, cfg predict.Config) (*Costs, error) {
 	timeF, err := predict.Train(timeDS, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("sched: time model: %w", err)
+	}
+	return NewCostsFrom(g, timeF, cfg)
+}
+
+var errNoCells = errors.New("sched: no measured cells to build a cost model from")
+
+// NewCostsFrom builds the provider around an already-trained time forest —
+// which must be predict.Train(predict.FromGrid(g), cfg), as in NewCosts —
+// training only the energy forest. A caller that already holds the grid's
+// time forest (dwarfserve's /v1/predict model) shares it instead of
+// training an identical second copy.
+func NewCostsFrom(g *harness.Grid, timeF *predict.Forest, cfg predict.Config) (*Costs, error) {
+	if g == nil || g.Cells() == 0 {
+		return nil, errNoCells
 	}
 	energyDS, err := predict.EnergyFromGrid(g)
 	if err != nil {
@@ -105,6 +120,9 @@ func NewCosts(g *harness.Grid, cfg predict.Config) (*Costs, error) {
 
 // TrainingCells returns how many measured cells the forests were fit on.
 func (c *Costs) TrainingCells() int { return c.cells }
+
+// TimeForest returns the provider's time forest.
+func (c *Costs) TimeForest() *predict.Forest { return c.timeF }
 
 // Measured reports whether the exact cell is measured (vs predicted).
 func (c *Costs) Measured(bench, size, device string) bool {

@@ -337,6 +337,50 @@ func TestCostProviderSources(t *testing.T) {
 	}
 }
 
+// TestNewCostsFromSharesTimeForest: a provider built around a caller's
+// time forest keeps that exact forest and answers bitwise like NewCosts,
+// which trains its own; both reject an empty grid with the same error.
+func TestNewCostsFromSharesTimeForest(t *testing.T) {
+	g := measure(t, []string{"crc", "fft"}, []string{"tiny"}, []string{"i7-6700k", "gtx1080"}, nil)
+	ds, err := predict.FromGrid(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	timeF, err := predict.Train(ds, testForest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := NewCostsFrom(g, timeF, testForest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shared.TimeForest() != timeF {
+		t.Fatal("NewCostsFrom did not keep the caller's time forest")
+	}
+	own, err := NewCosts(g, testForest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dev := range fleetOf(t, "titanx", "k20m", "i7-6700k") {
+		a, err := shared.Cost("fft", "tiny", dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := own.Cost("fft", "tiny", dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b {
+			t.Fatalf("%s: shared-forest cost %+v, NewCosts %+v", dev.ID, a, b)
+		}
+	}
+	_, errFrom := NewCostsFrom(&harness.Grid{}, timeF, testForest())
+	_, errOwn := NewCosts(&harness.Grid{}, testForest())
+	if errFrom == nil || errOwn == nil || errFrom.Error() != errOwn.Error() {
+		t.Fatalf("empty grid: NewCostsFrom %v, NewCosts %v", errFrom, errOwn)
+	}
+}
+
 // TestPoliciesBeatRoundRobin: on measured costs over a heterogeneous fleet
 // (including the KNL, which round-robin blindly loads), the cost-aware
 // schedulers strictly win on makespan — the ISSUE's acceptance shape.

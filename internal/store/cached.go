@@ -38,26 +38,26 @@ type CacheStats struct {
 }
 
 // Cached wraps inner with the slot cache. The cache identity is the inner
-// store's directory when it exposes one (Dir), so separate handles over
-// the same directory share decoded slots; stores without a directory get a
-// private, unshared identity.
+// store's directory, so separate handles over the same directory share
+// decoded slots; stores without a directory get a private, unshared
+// identity.
 func Cached(inner CellStore) *CachedStore {
 	identity := fmt.Sprintf("anon:%p", inner)
-	if d, ok := inner.(interface{ Dir() string }); ok {
-		identity = slotcache.FileIdentity(d.Dir())
+	if d := inner.Dir(); d != "" {
+		identity = slotcache.FileIdentity(d)
 	}
 	return &CachedStore{inner: inner, slots: slotcache.Acquire(identity)}
 }
 
 // Instrument registers the slot-cache counters on reg —
 // slotcache_hits_total, slotcache_misses_total, slotcache_evictions_total
-// — and forwards to the inner store's Instrument when it has one, so one
-// call wires the whole read/write stack. A nil registry de-instruments.
+// — and forwards to the inner store's Instrument, so one call wires the
+// whole read/write stack. A nil registry de-instruments.
 func (c *CachedStore) Instrument(reg *obs.Registry) {
 	c.mHits = reg.Counter(mSlotHitsTotal)
 	c.mMisses = reg.Counter(mSlotMissesTotal)
 	c.mEvictions = reg.Counter(mSlotEvictionsTotal)
-	InstrumentStore(c.inner, reg)
+	c.inner.Instrument(reg)
 }
 
 // Slot-cache metric names (obsnames-checked).
@@ -126,31 +126,20 @@ func (c *CachedStore) Records() []*Record { return c.inner.Records() }
 // Len returns the inner store's live record count.
 func (c *CachedStore) Len() int { return c.inner.Len() }
 
-// Compact garbage-collects the inner store (when it supports compaction)
-// and drops every slot.
+// Compact garbage-collects the inner store and drops every slot.
 func (c *CachedStore) Compact() error {
-	err := CompactStore(c.inner)
+	err := c.inner.Compact()
 	c.evict(c.slots.InvalidateAll())
 	return err
 }
 
-// DiskBytes reports the inner store's on-disk footprint (0 when the store
-// cannot measure one).
-func (c *CachedStore) DiskBytes() (int64, error) {
-	if sb, ok := c.inner.(SizeBounded); ok {
-		return sb.DiskBytes()
-	}
-	return 0, nil
-}
+// DiskBytes reports the inner store's on-disk footprint.
+func (c *CachedStore) DiskBytes() (int64, error) { return c.inner.DiskBytes() }
 
 // CompactIfOver bounds the inner store's footprint, dropping every slot
 // when a compaction actually ran.
 func (c *CachedStore) CompactIfOver(maxBytes int64) (bool, error) {
-	sb, ok := c.inner.(SizeBounded)
-	if !ok {
-		return false, nil
-	}
-	compacted, err := sb.CompactIfOver(maxBytes)
+	compacted, err := c.inner.CompactIfOver(maxBytes)
 	if compacted {
 		c.evict(c.slots.InvalidateAll())
 	}
@@ -165,15 +154,10 @@ func (c *CachedStore) evict(n int) {
 }
 
 // Segments reports the inner store's backing-file count.
-func (c *CachedStore) Segments() int { return SegmentsOf(c.inner) }
+func (c *CachedStore) Segments() int { return c.inner.Segments() }
 
-// Dir returns the inner store's directory, when it has one.
-func (c *CachedStore) Dir() string {
-	if d, ok := c.inner.(interface{ Dir() string }); ok {
-		return d.Dir()
-	}
-	return ""
-}
+// Dir returns the inner store's directory, or "" when it has none.
+func (c *CachedStore) Dir() string { return c.inner.Dir() }
 
 // Close closes the inner store and releases this handle's reference on the
 // shared slot table.
@@ -184,8 +168,6 @@ func (c *CachedStore) Close() error {
 }
 
 var (
-	_ CellStore   = (*CachedStore)(nil)
-	_ Decoded     = (*CachedStore)(nil)
-	_ Snapshotter = (*CachedStore)(nil)
-	_ SizeBounded = (*CachedStore)(nil)
+	_ CellStore = (*CachedStore)(nil)
+	_ Decoded   = (*CachedStore)(nil)
 )

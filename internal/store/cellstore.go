@@ -17,9 +17,8 @@ import (
 // CellStore is the persistent fingerprint → record map every consumer
 // programs against. Implementations must be safe for concurrent use.
 //
-// The optional capabilities below (Snapshotter, Decoded, Segmenter,
-// Instrumentable, SizeBounded) are discovered by type assertion; a consumer
-// that needs one degrades gracefully when it is absent.
+// The one optional capability, Decoded, is discovered by type assertion;
+// everything else every store shape implements.
 type CellStore interface {
 	// Get returns the stored payload for key. The returned bytes must not
 	// be modified.
@@ -33,16 +32,26 @@ type CellStore interface {
 	Records() []*Record
 	// Len returns the number of live records.
 	Len() int
+	// Compact rewrites the live record set into a fresh snapshot and
+	// retires the dead seg-*.jsonl files it subsumes.
+	Compact() error
+	// DiskBytes reports the on-disk footprint: snapshot plus segments.
+	DiskBytes() (int64, error)
+	// CompactIfOver compacts when DiskBytes exceeds maxBytes, reporting
+	// whether it did; maxBytes ≤ 0 never compacts.
+	CompactIfOver(maxBytes int64) (bool, error)
+	// Segments reports how many snapshot/segment files back the store — a
+	// health metric for the serving layer.
+	Segments() int
+	// Instrument registers the store's counters on reg; a nil registry
+	// de-instruments.
+	Instrument(reg *obs.Registry)
+	// Dir returns the directory backing the store, or "" when it has none
+	// (a Sharded composition of existing stores).
+	Dir() string
 	// Close releases the store's file handles. The store must not be used
 	// afterwards.
 	Close() error
-}
-
-// Snapshotter is optionally implemented by stores that can garbage-collect
-// their backing files: Compact rewrites the live record set into a fresh
-// snapshot and retires the dead seg-*.jsonl files it subsumes.
-type Snapshotter interface {
-	Compact() error
 }
 
 // DecodeFunc turns a stored payload into its decoded form. Decoders must
@@ -59,58 +68,4 @@ type Decoded interface {
 	GetDecoded(key string, decode DecodeFunc) (any, bool, error)
 }
 
-// Segmenter is optionally implemented by stores that can report how many
-// snapshot/segment files back them — a health metric for the serving layer.
-type Segmenter interface {
-	Segments() int
-}
-
-// Instrumentable is optionally implemented by stores that can register
-// their counters on a metrics registry.
-type Instrumentable interface {
-	Instrument(reg *obs.Registry)
-}
-
-// SizeBounded is optionally implemented by stores that can bound their
-// on-disk footprint: CompactIfOver compacts (snapshotting + segment GC)
-// when DiskBytes exceeds maxBytes, reporting whether it did.
-type SizeBounded interface {
-	DiskBytes() (int64, error)
-	CompactIfOver(maxBytes int64) (bool, error)
-}
-
-// SegmentsOf reports the backing-file count of any CellStore, or 0 when
-// the store does not expose one.
-func SegmentsOf(cs CellStore) int {
-	if s, ok := cs.(Segmenter); ok {
-		return s.Segments()
-	}
-	return 0
-}
-
-// InstrumentStore registers cs's counters on reg when the store supports
-// instrumentation; a no-op otherwise.
-func InstrumentStore(cs CellStore, reg *obs.Registry) {
-	if in, ok := cs.(Instrumentable); ok {
-		in.Instrument(reg)
-	}
-}
-
-// CompactStore garbage-collects cs when it supports compaction; a no-op
-// (nil error) otherwise.
-func CompactStore(cs CellStore) error {
-	if sn, ok := cs.(Snapshotter); ok {
-		return sn.Compact()
-	}
-	return nil
-}
-
-// Compile-time checks: every store shape in this package is a CellStore,
-// and the concrete *Store keeps its full capability set.
-var (
-	_ CellStore      = (*Store)(nil)
-	_ Snapshotter    = (*Store)(nil)
-	_ Segmenter      = (*Store)(nil)
-	_ Instrumentable = (*Store)(nil)
-	_ SizeBounded    = (*Store)(nil)
-)
+var _ CellStore = (*Store)(nil)

@@ -117,11 +117,11 @@ func (s *ShardedStore) Len() int {
 	return n
 }
 
-// Compact garbage-collects every shard that supports compaction.
+// Compact garbage-collects every shard.
 func (s *ShardedStore) Compact() error {
 	var errs []error
 	for _, sh := range s.shards {
-		errs = append(errs, CompactStore(sh))
+		errs = append(errs, sh.Compact())
 	}
 	return errors.Join(errs...)
 }
@@ -130,13 +130,11 @@ func (s *ShardedStore) Compact() error {
 func (s *ShardedStore) DiskBytes() (int64, error) {
 	var total int64
 	for _, sh := range s.shards {
-		if sb, ok := sh.(SizeBounded); ok {
-			n, err := sb.DiskBytes()
-			if err != nil {
-				return total, err
-			}
-			total += n
+		n, err := sh.DiskBytes()
+		if err != nil {
+			return total, err
 		}
+		total += n
 	}
 	return total, nil
 }
@@ -149,11 +147,9 @@ func (s *ShardedStore) CompactIfOver(maxBytes int64) (bool, error) {
 	any := false
 	var errs []error
 	for _, sh := range s.shards {
-		if sb, ok := sh.(SizeBounded); ok {
-			compacted, err := sb.CompactIfOver(perShard)
-			any = any || compacted
-			errs = append(errs, err)
-		}
+		compacted, err := sh.CompactIfOver(perShard)
+		any = any || compacted
+		errs = append(errs, err)
 	}
 	return any, errors.Join(errs...)
 }
@@ -162,7 +158,7 @@ func (s *ShardedStore) CompactIfOver(maxBytes int64) (bool, error) {
 func (s *ShardedStore) Segments() int {
 	n := 0
 	for _, sh := range s.shards {
-		n += SegmentsOf(sh)
+		n += sh.Segments()
 	}
 	return n
 }
@@ -172,7 +168,7 @@ func (s *ShardedStore) Segments() int {
 // across the whole shard set.
 func (s *ShardedStore) Instrument(reg *obs.Registry) {
 	for _, sh := range s.shards {
-		InstrumentStore(sh, reg)
+		sh.Instrument(reg)
 	}
 }
 
@@ -185,10 +181,4 @@ func (s *ShardedStore) Close() error {
 	return errors.Join(errs...)
 }
 
-var (
-	_ CellStore      = (*ShardedStore)(nil)
-	_ Snapshotter    = (*ShardedStore)(nil)
-	_ Segmenter      = (*ShardedStore)(nil)
-	_ Instrumentable = (*ShardedStore)(nil)
-	_ SizeBounded    = (*ShardedStore)(nil)
-)
+var _ CellStore = (*ShardedStore)(nil)
