@@ -175,15 +175,18 @@ func TestSSEKeepAliveAndResume(t *testing.T) {
 		t.Fatalf("resumed kinds %v, want [cell_done grid_done]", kinds)
 	}
 
-	// A malformed Last-Event-ID is a client error, not a silent replay.
-	req, _ := http.NewRequest("GET", ts.URL+"/v1/jobs/"+j.id+"/events", nil)
-	req.Header.Set("Last-Event-ID", "not-a-number")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad Last-Event-ID status %d, want 400", resp.StatusCode)
+	// A malformed Last-Event-ID is a client error, not a silent replay;
+	// so is the largest int, whose successor would overflow the log index.
+	for _, last := range []string{"not-a-number", "9223372036854775807"} {
+		req, _ := http.NewRequest("GET", ts.URL+"/v1/jobs/"+j.id+"/events", nil)
+		req.Header.Set("Last-Event-ID", last)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("Last-Event-ID %q status %d, want 400", last, resp.StatusCode)
+		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -428,7 +429,8 @@ func (s *server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	sent := 0
 	if last := r.Header.Get("Last-Event-ID"); last != "" {
 		n, err := strconv.Atoi(last)
-		if err != nil || n < 0 {
+		// n == MaxInt would wrap sent to a negative log index.
+		if err != nil || n < 0 || n == math.MaxInt {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid Last-Event-ID %q", last))
 			return
 		}

@@ -223,7 +223,8 @@ type server struct {
 	started     time.Time     // process start, for /v1/status uptime
 
 	// snap is the current query snapshot; see snapshot.
-	snap atomic.Pointer[snapshot]
+	snap     atomic.Pointer[snapshot]
+	reloadMu sync.Mutex // serialises reloadFromStore's read and publish
 
 	// Async sweep jobs; see jobs.go.
 	jobMu      sync.Mutex
@@ -375,8 +376,11 @@ func (sn *snapshot) scheduleCosts(cfg predict.Config) (*sched.Costs, error) {
 
 // reloadFromStore rebuilds the snapshot from the store — called after a
 // job lands new cells, so queries (and the CI byte-for-byte check) see
-// exactly what a fresh GridFromStore would.
+// exactly what a fresh GridFromStore would. Reloads are serialised: of two
+// jobs finishing together, the later read always publishes last.
 func (s *server) reloadFromStore() error {
+	s.reloadMu.Lock()
+	defer s.reloadMu.Unlock()
 	grid, err := harness.GridFromStore(s.st)
 	if err != nil {
 		return err

@@ -91,7 +91,9 @@ func TestSnapshotSharesTimeForest(t *testing.T) {
 // server over the final store.
 func TestSnapshotConcurrentReloads(t *testing.T) {
 	srv, _ := newTestServer(t) // 4 cells; the jobs below add 2 each
-	validCells := map[float64]bool{4: true, 6: true, 8: true}
+	// The jobs run concurrently, so one job's reload may read the other's
+	// first cell without its second: any count from 4 to 8 is a generation.
+	validCells := map[float64]bool{4: true, 5: true, 6: true, 7: true, 8: true}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -122,11 +124,16 @@ func TestSnapshotConcurrentReloads(t *testing.T) {
 			}
 		}()
 	}
+	// Both jobs are submitted before either is awaited, so their reloads
+	// can race each other as well as the readers.
+	var ids []string
 	for _, dev := range []string{"k20m", "titanx"} {
-		id := postJob(t, srv, `{"benchmarks":["crc","fft"],"sizes":["tiny"],"devices":["`+dev+`"],"samples":6}`,
-			http.StatusAccepted)
+		ids = append(ids, postJob(t, srv, `{"benchmarks":["crc","fft"],"sizes":["tiny"],"devices":["`+dev+`"],"samples":6}`,
+			http.StatusAccepted))
+	}
+	for _, id := range ids {
 		if st := waitJob(t, srv, id); st["state"] != string(jobDone) {
-			t.Fatalf("job on %s: %v", dev, st)
+			t.Fatalf("job %s: %v", id, st)
 		}
 	}
 	close(stop)

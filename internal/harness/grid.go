@@ -39,8 +39,8 @@ type GridSpec struct {
 	// unchanged grid re-swept against the same store is a 100% hit and
 	// produces value-identical measurements, hence byte-identical exports.
 	// Any CellStore works — a plain directory store, a Sharded fan-out, or
-	// either behind store.Cached, whose Decoded fast path serves hits as
-	// shared decoded cells with zero re-parsing. Assign only a live store:
+	// either behind store.Cached, which serves hits as shared decoded
+	// cells with zero re-parsing. Assign only a live store:
 	// a typed-nil pointer in the interface reads as "store attached".
 	Store store.CellStore
 	// Faults, when non-nil, injects deterministic failures into every
@@ -241,7 +241,7 @@ func RunGrid(ctx context.Context, reg *dwarfs.Registry, spec GridSpec) (*Grid, e
 // runGrid is the worker-pool core shared by Stream (and through it,
 // RunGrid). It emits one CellStart per claimed cell and one CellDone or
 // StoreHit per completed cell via emit — which must be non-nil and is
-// called from worker goroutines, serialised by an internal mutex.
+// called from worker goroutines, serialised by the run's emit mutex.
 func runGrid(ctx context.Context, spec GridSpec, cells []gridCell, nDevices int, emit func(Event)) (*Grid, error) {
 	started := now()
 	if len(cells) == 0 {
@@ -261,379 +261,373 @@ func runGrid(ctx context.Context, spec GridSpec, cells []gridCell, nDevices int,
 	// branches on "is instrumentation on"), the injector is wrapped to
 	// count injected faults by kind, and the tracer — from the spec, or
 	// carried by ctx for callers above the spec — roots a run-level span
-	// that every cell span parents under.
-	mo := newGridMetrics(spec.Metrics)
-	// The store's Decoded capability is resolved once per run, not per
-	// cell: a cached store serves hits as shared decoded cells (zero
-	// re-parsing), every other store decodes each hit's payload.
-	var decodedStore store.Decoded
-	if spec.Store != nil {
-		decodedStore, _ = spec.Store.(store.Decoded)
-	}
-	injector := spec.Faults
+	// that every cell span parents under. spec is the run's own copy.
 	if spec.Metrics != nil {
-		injector = faults.Counted(injector, spec.Metrics)
+		spec.Faults = faults.Counted(spec.Faults, spec.Metrics)
 	}
-	tracer := spec.Tracer
-	if tracer == nil {
-		tracer = obs.TracerFrom(ctx)
+	if spec.Tracer == nil {
+		spec.Tracer = obs.TracerFrom(ctx)
 	}
-	if tracer != nil {
-		ctx = obs.ContextWithTracer(ctx, tracer)
+	r := &gridRun{
+		spec:  spec,
+		cells: cells,
+		emit:  emit,
+		mo:    newGridMetrics(spec.Metrics),
+		cache: newPrepCache(),
+		slots: make([]cellSlot, len(cells)),
+		tally: runTally{quarantined: map[string]bool{}},
+	}
+	if spec.Tracer != nil {
+		ctx = obs.ContextWithTracer(ctx, spec.Tracer)
 		var gspan *obs.Span
 		ctx, gspan = obs.StartSpan(ctx, "harness.grid",
 			obs.Int("cells", len(cells)), obs.Int("workers", workers))
 		defer gspan.End()
 	}
+	r.dispatch(ctx, dispatchOrder(len(cells), nDevices, workers), workers)
+	return r.collect(ctx, started)
+}
 
-	var (
-		cache   = newPrepCache()
-		results = make([]*Measurement, len(cells))
-		failed  = make([]*FailedCell, len(cells))
-		errs    = make([]error, len(cells))
-		order   = dispatchOrder(len(cells), nDevices, workers)
-		next    atomic.Int64
-		done    atomic.Int64
-		hits    atomic.Int64
-		misses  atomic.Int64
-		retries atomic.Int64
-		failedN atomic.Int64
-		stopped atomic.Bool
-		quarMu  sync.Mutex
-		quarSet = map[string]bool{}
-		emitMu  sync.Mutex
-		wg      sync.WaitGroup
-	)
+// gridRun is one execution of a planned grid. Its methods are the run's
+// stages: dispatch hands cells to workers, runCell takes one cell from
+// the store lookup through preparation and its attempt loop, attempt
+// makes one measurement attempt, and collect assembles the Grid.
+type gridRun struct {
+	spec  GridSpec // Faults and Tracer resolved by runGrid
+	cells []gridCell
+	emit  func(Event)
+	mo    gridMetrics
+	cache *prepCache
 
-	// send serialises event emission. Completion counters are assigned
-	// under the same mutex, so Done (and the hit/miss snapshot) is
-	// monotonically non-decreasing in emission order — consumers never
-	// see "cell 2/n" before "cell 1/n".
-	send := func(ev Event) {
-		emitMu.Lock()
-		defer emitMu.Unlock()
-		if ev.Kind == EventCellDone || ev.Kind == EventStoreHit {
-			ev.Done = int(done.Add(1))
-			ev.Hits, ev.Misses = int(hits.Load()), int(misses.Load())
+	slots   []cellSlot
+	next    atomic.Int64 // dispatch cursor into the order
+	stopped atomic.Bool  // a cell errored: workers stop claiming cells
+
+	emitMu sync.Mutex
+	tally  runTally // guarded by emitMu; changed only by send
+}
+
+// cellSlot is one cell's outcome — its measurement, its fault-class
+// failure, or the error that aborts the grid — written only by the worker
+// that ran the cell and read by collect after every worker has returned.
+type cellSlot struct {
+	m      *Measurement
+	failed *FailedCell
+	err    error
+}
+
+// runTally is the run's one set of counters; only send changes it.
+type runTally struct {
+	done, hits, misses, retries, failed int
+	quarantined                         map[string]bool
+}
+
+// send is the only place the run's counters change. Under the emit mutex
+// it derives the tally update from the event kind, bumps the matching
+// metrics, stamps Total and the counters on the event and emits it — so
+// Done is monotonically non-decreasing in emission order (consumers never
+// see "cell 2/n" before "cell 1/n"), and the event stream, the registry's
+// counters and the returned Grid all read the one tally. A
+// DeviceQuarantined event for a device already down is dropped: each
+// device is announced once per run.
+func (r *gridRun) send(ev Event) {
+	r.emitMu.Lock()
+	defer r.emitMu.Unlock()
+	t := &r.tally
+	switch ev.Kind {
+	case EventCellDone, EventStoreHit:
+		t.done++
+		r.mo.cells.Inc()
+		r.mo.deviceCells(ev.Device)
+		r.mo.cellNs.Observe(float64(ev.Elapsed))
+		if ev.Kind == EventStoreHit {
+			t.hits++
+			r.mo.hits.Inc()
+		} else if r.spec.Store != nil {
+			t.misses++
+			r.mo.misses.Inc()
 		}
-		// Metrics are derived from the event stream itself — one bump per
-		// event, under the same mutex — so the registry's counters agree
-		// exactly with what consumers saw and with the returned grid.
-		switch ev.Kind {
-		case EventCellDone:
-			mo.cells.Inc()
-			mo.deviceCells(ev.Device)
-			if spec.Store != nil {
-				mo.misses.Inc()
-			}
-			mo.cellNs.Observe(float64(ev.Elapsed))
-		case EventStoreHit:
-			mo.cells.Inc()
-			mo.deviceCells(ev.Device)
-			mo.hits.Inc()
-			mo.cellNs.Observe(float64(ev.Elapsed))
-		case EventCellRetry:
-			mo.retries.Inc()
-		case EventCellFailed:
-			mo.failed.Inc()
-		case EventDeviceQuarantined:
-			mo.quarantines.Inc()
-		}
-		ev.Retries, ev.Failed = int(retries.Load()), int(failedN.Load())
-		emit(ev)
-	}
-
-	// quarantine marks a device down; the first caller per device emits
-	// the device_quarantined event. Subsequent cells on the device still
-	// roll their own (deterministic) attempt-1 verdict rather than
-	// consulting this set, so per-cell event sequences are identical at
-	// every worker count — the set exists for the single event and the
-	// grid's Quarantined listing, not for control flow.
-	quarantine := func(dev string, reason string) {
-		quarMu.Lock()
-		already := quarSet[dev]
-		quarSet[dev] = true
-		quarMu.Unlock()
-		if already {
+	case EventCellRetry:
+		t.retries++
+		r.mo.retries.Inc()
+	case EventCellFailed:
+		t.failed++
+		r.mo.failed.Inc()
+	case EventDeviceQuarantined:
+		if t.quarantined[ev.Device] {
 			return
 		}
-		send(Event{Kind: EventDeviceQuarantined, Device: dev, Reason: reason, Total: len(cells), Done: int(done.Load())})
+		t.quarantined[ev.Device] = true
+		r.mo.quarantines.Inc()
 	}
+	ev.Done, ev.Total = t.done, len(r.cells)
+	ev.Hits, ev.Misses = t.hits, t.misses
+	ev.Retries, ev.Failed = t.retries, t.failed
+	//lint:allow locksend emitting under the mutex keeps events in tally order; Stream's emit also selects on ctx.Done
+	r.emit(ev)
+}
 
-	cellEvent := func(kind EventKind, c gridCell) Event {
-		return Event{
-			Kind:      kind,
-			Benchmark: c.bench.Name(),
-			Size:      c.size,
-			Device:    c.dev.ID(),
-			Done:      int(done.Load()),
-			Total:     len(cells),
-			Hits:      int(hits.Load()),
-			Misses:    int(misses.Load()),
-		}
+// cellEvent starts an event about cell c; send fills in the counters.
+func cellEvent(kind EventKind, c gridCell) Event {
+	return Event{Kind: kind, Benchmark: c.bench.Name(), Size: c.size, Device: c.dev.ID()}
+}
+
+// dispatch runs the worker pool: each worker claims the next cell of
+// order until the order is exhausted, the run is cancelled, or a cell
+// has errored.
+func (r *gridRun) dispatch(ctx context.Context, order []int, workers int) {
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for !r.stopped.Load() && ctx.Err() == nil {
+				n := int(r.next.Add(1)) - 1
+				if n >= len(order) {
+					return
+				}
+				i := order[n]
+				if err := r.runCell(ctx, i); err != nil {
+					// A cell aborted by cancellation is not a cell
+					// failure: the cell is simply not part of the
+					// partial grid.
+					if ctx.Err() == nil {
+						r.slots[i].err = err
+					}
+					r.stopped.Store(true)
+					return
+				}
+			}
+		}()
 	}
+	wg.Wait()
+}
 
-	runCell := func(i int) (err error) {
-		c := cells[i]
-		cellStart := now()
+// runCell takes cell i through the store lookup, preparation and the
+// attempt loop. It returns nil when the cell was measured, served from
+// the store or failed by a fault; a non-nil error aborts the grid.
+func (r *gridRun) runCell(ctx context.Context, i int) (err error) {
+	c := r.cells[i]
+	cellStart := now()
+	defer func() {
 		// Workers run on their own goroutines, where an escaping panic
 		// would abort the process with no chance for the caller to
 		// recover; convert it to a cell error instead.
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("harness: grid cell %s/%s/%s panicked: %v", c.bench.Name(), c.size, c.dev.ID(), r)
-			}
-		}()
-		// The cell span parents every phase below; attr construction is
-		// gated on the tracer so the untraced path stays allocation-free.
-		cctx := ctx
-		var cspan *obs.Span
-		if tracer != nil {
-			cctx, cspan = obs.StartSpan(ctx, "harness.cell",
-				obs.String("benchmark", c.bench.Name()),
-				obs.String("size", c.size),
-				obs.String("device", c.dev.ID()))
+		if p := recover(); p != nil {
+			err = fmt.Errorf("panicked: %v", p)
 		}
-		defer cspan.End()
-		send(cellEvent(EventCellStart, c))
-		var key string
-		if spec.Store != nil {
-			key = CellKey(c.bench.Name(), c.size, c.dev.Spec, spec.Options)
-			var m *Measurement
-			decodeStart := now()
-			if decodedStore != nil {
-				// Zero-copy hit: the slot cache hands back the shared
-				// decoded cell; only the first reader of a key in the
-				// process ever pays the JSON decode.
-				if v, ok, derr := decodedStore.GetDecoded(key, decodeMeasurementSlot); derr == nil && ok {
-					m = v.(*Measurement)
-				}
-			} else if raw, ok := spec.Store.Get(key); ok {
-				if mm, derr := DecodeMeasurement(raw); derr == nil {
-					m = mm
-				}
-			}
-			// A nil m with the key present means the payload was
-			// undecodable under the current code: recompute and overwrite
-			// below.
-			if m != nil {
-				mo.decodeNs.Observe(float64(since(decodeStart)))
-				cspan.SetAttr("outcome", "store_hit")
-				results[i] = m
-				hits.Add(1)
-				ev := cellEvent(EventStoreHit, c)
-				ev.Elapsed = since(cellStart)
-				ev.Measurement = m
-				send(ev)
-				return nil
-			}
-		}
-		var pspan *obs.Span
-		pctx := cctx
-		if tracer != nil {
-			pctx, pspan = obs.StartSpan(cctx, "harness.prepare")
-		}
-		prepStart := now()
-		p, err := cache.prepare(pctx, c.bench, c.size, spec.Options)
-		mo.prepareNs.Observe(float64(since(prepStart)))
-		pspan.End()
 		if err != nil {
-			return fmt.Errorf("harness: grid cell %s/%s/%s: %w", c.bench.Name(), c.size, c.dev.ID(), err)
+			err = fmt.Errorf("harness: grid cell %s/%s/%s: %w", c.bench.Name(), c.size, c.dev.ID(), err)
 		}
+	}()
+	// The cell span parents every phase below; attr construction is
+	// gated on the tracer so the untraced path stays allocation-free.
+	var cspan *obs.Span
+	if r.spec.Tracer != nil {
+		ctx, cspan = obs.StartSpan(ctx, "harness.cell",
+			obs.String("benchmark", c.bench.Name()),
+			obs.String("size", c.size),
+			obs.String("device", c.dev.ID()))
+	}
+	defer cspan.End()
+	r.send(cellEvent(EventCellStart, c))
 
-		// measureOnce runs one attempt: the injector's verdict first,
-		// then the model under the per-attempt deadline. Fault decisions
-		// are pure functions of (cell, attempt), so the attempt sequence
-		// a cell sees is identical at every worker count.
-		measureOnce := func(attempt int) (*Measurement, error) {
-			mctx := cctx
-			var mspan *obs.Span
-			if tracer != nil {
-				mctx, mspan = obs.StartSpan(cctx, "harness.measure", obs.Int("attempt", attempt))
-			}
-			defer mspan.End()
-			var dec faults.Decision
-			if injector != nil {
-				dec = injector.Decide(c.bench.Name(), c.size, c.dev.ID(), attempt)
-			}
-			if dec.Dropped {
-				return nil, faults.ErrDeviceDown
-			}
-			actx, cancel := mctx, func() {}
-			if spec.Retry.AttemptTimeout > 0 {
-				actx, cancel = context.WithTimeout(mctx, spec.Retry.AttemptTimeout)
-			}
-			defer cancel()
-			if dec.Hang {
-				<-actx.Done()
-				return nil, actx.Err()
-			}
-			if dec.Transient {
-				return nil, faults.ErrTransient
-			}
-			measureStart := now()
-			m, err := p.Measure(actx, c.dev, spec.Options)
-			mo.measureNs.Observe(float64(since(measureStart)))
-			if err != nil {
-				return nil, err
-			}
-			applyDecision(m, dec)
-			return m, nil
+	var key string
+	if r.spec.Store != nil {
+		key = CellKey(c.bench.Name(), c.size, c.dev.Spec, r.spec.Options)
+		decodeStart := now()
+		// A payload that no longer decodes reads as a miss: the cell is
+		// re-measured below and its record overwritten.
+		if v, ok, derr := r.spec.Store.GetDecoded(key, decodeMeasurementSlot); derr == nil && ok {
+			r.mo.decodeNs.Observe(float64(since(decodeStart)))
+			cspan.SetAttr("outcome", "store_hit")
+			r.complete(i, EventStoreHit, v.(*Measurement), cellStart)
+			return nil
 		}
+	}
+	p, err := r.prepare(ctx, c)
+	if err != nil {
+		return err
+	}
 
-		// failCell records a fault-class failure: the cell stays out of
-		// the grid and the store, the run continues.
-		failCell := func(attempt int, reason string) {
+	for attempt := 1; ; attempt++ {
+		m, aerr := r.attempt(ctx, p, c, attempt)
+		if aerr == nil {
+			if r.spec.Store != nil {
+				if err := r.persist(key, m); err != nil {
+					return err
+				}
+			}
+			cspan.SetAttr("outcome", "measured")
+			r.complete(i, EventCellDone, m, cellStart)
+			return nil
+		}
+		if ctx.Err() != nil {
+			// The run was cancelled: not a cell failure (and not a
+			// fault) — the cell is simply not part of the partial grid.
+			return ctx.Err()
+		}
+		final := attempt >= r.spec.Retry.MaxAttempts
+		var reason string
+		switch {
+		case errors.Is(aerr, faults.ErrDeviceDown):
+			// Retrying a dead device is pointless: quarantine it and
+			// fail the cell now.
+			reason, final = "device down", true
+			r.send(Event{Kind: EventDeviceQuarantined, Device: c.dev.ID(), Reason: reason})
+		case errors.Is(aerr, faults.ErrTransient):
+			reason = "transient fault"
+		case errors.Is(aerr, context.DeadlineExceeded):
+			// The attempt's own deadline; the parent context was
+			// checked live above.
+			reason = "attempt timeout"
+		default:
+			// A genuine harness/model error: abort the grid, as a
+			// non-faulted run would.
+			return aerr
+		}
+		if final {
 			cspan.SetAttr("outcome", "failed")
 			cspan.SetAttr("reason", reason)
-			failed[i] = &FailedCell{
-				Benchmark: c.bench.Name(), Size: c.size, Device: c.dev.ID(),
-				Attempts: attempt, Reason: reason,
-			}
-			failedN.Add(1)
-			ev := cellEvent(EventCellFailed, c)
-			ev.Elapsed = since(cellStart)
-			ev.Attempt, ev.Reason = attempt, reason
-			send(ev)
+			r.fail(i, attempt, reason, cellStart)
+			return nil
 		}
-
-		for attempt := 1; ; attempt++ {
-			m, aerr := measureOnce(attempt)
-			if aerr == nil {
-				if spec.Store != nil {
-					raw, err := EncodeMeasurement(m)
-					if err != nil {
-						return err
-					}
-					if err := spec.Store.Put(store.Record{
-						Key: key, Benchmark: m.Benchmark, Size: m.Size, Device: m.Device.ID,
-						Schema: StoreSchemaVersion, Value: raw,
-					}); err != nil {
-						return fmt.Errorf("harness: grid cell %s/%s/%s: %w", c.bench.Name(), c.size, c.dev.ID(), err)
-					}
-					// A miss only counts once the measurement is persisted:
-					// under cancellation, hits + misses must equal exactly the
-					// completed cells.
-					misses.Add(1)
-				}
-				cspan.SetAttr("outcome", "measured")
-				results[i] = m
-				ev := cellEvent(EventCellDone, c)
-				ev.Elapsed = since(cellStart)
-				ev.Measurement = m
-				send(ev)
-				return nil
-			}
-			if ctx.Err() != nil {
-				// The run was cancelled: not a cell failure (and not a
-				// fault), exactly as before — the cell is simply not
-				// part of the partial grid.
-				return ctx.Err()
-			}
-			if errors.Is(aerr, faults.ErrDeviceDown) {
-				quarantine(c.dev.ID(), "device down")
-				failCell(attempt, "device down")
-				return nil
-			}
-			var reason string
-			switch {
-			case errors.Is(aerr, faults.ErrTransient):
-				reason = "transient fault"
-			case errors.Is(aerr, context.DeadlineExceeded):
-				// The attempt's own deadline; the parent context was
-				// checked live above.
-				reason = "attempt timeout"
-			default:
-				// A genuine harness/model error: abort the grid, as a
-				// non-faulted run would.
-				return fmt.Errorf("harness: grid cell %s/%s/%s: %w", c.bench.Name(), c.size, c.dev.ID(), aerr)
-			}
-			if attempt >= spec.Retry.attempts() {
-				failCell(attempt, reason)
-				return nil
-			}
-			retries.Add(1)
-			rev := cellEvent(EventCellRetry, c)
-			rev.Attempt, rev.Reason = attempt, reason
-			send(rev)
-			if d := spec.Retry.backoff(c.bench.Name(), c.size, c.dev.ID(), attempt+1); d > 0 {
-				t := time.NewTimer(d)
-				select {
-				case <-t.C:
-				case <-ctx.Done():
-					t.Stop()
-					return ctx.Err()
-				}
-			}
+		ev := cellEvent(EventCellRetry, c)
+		ev.Attempt, ev.Reason = attempt, reason
+		r.send(ev)
+		if err := r.spec.Retry.pause(ctx, c.bench.Name(), c.size, c.dev.ID(), attempt+1); err != nil {
+			return err
 		}
 	}
+}
 
-	worker := func() {
-		defer wg.Done()
-		for {
-			if stopped.Load() || ctx.Err() != nil {
-				return
-			}
-			n := int(next.Add(1)) - 1
-			if n >= len(order) {
-				return
-			}
-			i := order[n]
-			if err := runCell(i); err != nil {
-				// A cell aborted by cancellation is not a cell failure:
-				// the cell is simply not part of the partial grid.
-				if ctx.Err() == nil {
-					errs[i] = err
-				}
-				stopped.Store(true)
-				return
-			}
-		}
+// prepare returns cell c's row preparation, shared with the row's other
+// devices through the run's cache.
+func (r *gridRun) prepare(ctx context.Context, c gridCell) (*Preparation, error) {
+	var pspan *obs.Span
+	if r.spec.Tracer != nil {
+		ctx, pspan = obs.StartSpan(ctx, "harness.prepare")
 	}
+	defer pspan.End()
+	start := now()
+	p, err := r.cache.prepare(ctx, c.bench, c.size, r.spec.Options)
+	r.mo.prepareNs.Observe(float64(since(start)))
+	return p, err
+}
 
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go worker()
+// fail records a fault-class failure of cell i after attempt: the cell
+// stays out of the grid and the store, and the run continues.
+func (r *gridRun) fail(i, attempt int, reason string, cellStart time.Time) {
+	c := r.cells[i]
+	r.slots[i].failed = &FailedCell{
+		Benchmark: c.bench.Name(), Size: c.size, Device: c.dev.ID(),
+		Attempts: attempt, Reason: reason,
 	}
-	wg.Wait()
+	ev := cellEvent(EventCellFailed, c)
+	ev.Elapsed = since(cellStart)
+	ev.Attempt, ev.Reason = attempt, reason
+	r.send(ev)
+}
 
-	// Error selection: the earliest failing cell in grid order among
-	// those attempted. With Workers: 1 this is exactly the sequential
-	// harness's first error; under concurrency which cells were attempted
-	// before the stop flag landed depends on scheduling, so a different
-	// (equally genuine) cell's error may surface across runs.
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+// complete records cell i's measurement and announces it: kind is
+// EventStoreHit for a decoded cell, EventCellDone for a measured one.
+func (r *gridRun) complete(i int, kind EventKind, m *Measurement, cellStart time.Time) {
+	r.slots[i].m = m
+	ev := cellEvent(kind, r.cells[i])
+	ev.Elapsed = since(cellStart)
+	ev.Measurement = m
+	r.send(ev)
+}
+
+// persist writes a measured cell to the store under key. It runs before
+// the cell's CellDone event, so a miss counts only once persisted: under
+// cancellation, hits + misses equal exactly the completed cells.
+func (r *gridRun) persist(key string, m *Measurement) error {
+	raw, err := EncodeMeasurement(m)
+	if err != nil {
+		return err
 	}
+	return r.spec.Store.Put(store.Record{
+		Key: key, Benchmark: m.Benchmark, Size: m.Size, Device: m.Device.ID,
+		Schema: StoreSchemaVersion, Value: raw,
+	})
+}
+
+// attempt makes one measurement attempt: the injector's verdict first,
+// then the model under the per-attempt deadline. Fault decisions are pure
+// functions of (cell, attempt), so the attempt sequence a cell sees is
+// identical at every worker count.
+func (r *gridRun) attempt(ctx context.Context, p *Preparation, c gridCell, attempt int) (*Measurement, error) {
+	var mspan *obs.Span
+	if r.spec.Tracer != nil {
+		ctx, mspan = obs.StartSpan(ctx, "harness.measure", obs.Int("attempt", attempt))
+	}
+	defer mspan.End()
+	var dec faults.Decision
+	if r.spec.Faults != nil {
+		dec = r.spec.Faults.Decide(c.bench.Name(), c.size, c.dev.ID(), attempt)
+	}
+	if dec.Dropped {
+		return nil, faults.ErrDeviceDown
+	}
+	if r.spec.Retry.AttemptTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, r.spec.Retry.AttemptTimeout)
+		defer cancel()
+	}
+	if dec.Hang {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	if dec.Transient {
+		return nil, faults.ErrTransient
+	}
+	measureStart := now()
+	m, err := p.Measure(ctx, c.dev, r.spec.Options)
+	r.mo.measureNs.Observe(float64(since(measureStart)))
+	if err != nil {
+		return nil, err
+	}
+	applyDecision(m, dec)
+	return m, nil
+}
+
+// collect assembles the run's Grid once every worker has returned.
+//
+// Error selection: the earliest failing cell in grid order among those
+// attempted. With Workers: 1 this is exactly the sequential harness's
+// first error; under concurrency which cells were attempted before the
+// stop flag landed depends on scheduling, so a different (equally
+// genuine) cell's error may surface across runs.
+func (r *gridRun) collect(ctx context.Context, started time.Time) (*Grid, error) {
+	t := &r.tally
 	g := &Grid{
-		StoreHits:   int(hits.Load()),
-		StoreMisses: int(misses.Load()),
-		Retries:     int(retries.Load()),
-		Elapsed:     since(started),
+		Measurements: make([]*Measurement, 0, t.done),
+		StoreHits:    t.hits,
+		StoreMisses:  t.misses,
+		Retries:      t.retries,
+		Elapsed:      since(started),
 	}
-	// Failures and quarantines apply to partial (cancelled) grids too:
-	// a cell that failed before the cancellation genuinely failed.
-	for _, f := range failed {
-		if f != nil {
-			g.Failed = append(g.Failed, *f)
-		}
-	}
-	for dev := range quarSet {
-		g.Quarantined = append(g.Quarantined, dev)
-	}
-	sort.Strings(g.Quarantined)
 	// Exactly the completed cells, grid order — partial under
 	// cancellation, missing only the failed cells otherwise. Every
 	// measurement was persisted before its CellDone event fired, so the
-	// store and the returned grid agree.
-	g.Measurements = make([]*Measurement, 0, done.Load())
-	for _, m := range results {
-		if m != nil {
-			g.Measurements = append(g.Measurements, m)
+	// store and the returned grid agree. Failures and quarantines apply
+	// to partial (cancelled) grids too: a cell that failed before the
+	// cancellation genuinely failed.
+	for _, s := range r.slots {
+		switch {
+		case s.err != nil:
+			return nil, s.err
+		case s.m != nil:
+			g.Measurements = append(g.Measurements, s.m)
+		case s.failed != nil:
+			g.Failed = append(g.Failed, *s.failed)
 		}
 	}
+	for dev := range t.quarantined {
+		g.Quarantined = append(g.Quarantined, dev)
+	}
+	sort.Strings(g.Quarantined)
 	return g, ctx.Err()
 }
 

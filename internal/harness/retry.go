@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"hash/fnv"
 	"io"
 	"math/rand"
@@ -36,20 +37,12 @@ type RetryPolicy struct {
 	AttemptTimeout time.Duration
 }
 
-// attempts normalises MaxAttempts to at least one try.
-func (r RetryPolicy) attempts() int {
-	if r.MaxAttempts <= 1 {
-		return 1
-	}
-	return r.MaxAttempts
-}
-
-// backoff returns the deterministic pause before the given attempt
+// pause waits out the deterministic backoff before the given attempt
 // number (≥ 2): exponential in the attempt, capped, then jittered by the
-// cell-coordinate hash.
-func (r RetryPolicy) backoff(bench, size, device string, attempt int) time.Duration {
+// cell-coordinate hash. It returns ctx's error if ctx ends first.
+func (r RetryPolicy) pause(ctx context.Context, bench, size, device string, attempt int) error {
 	if r.BaseBackoff <= 0 || attempt <= 1 {
-		return 0
+		return nil
 	}
 	d := r.BaseBackoff
 	for i := 2; i < attempt && d < time.Hour; i++ {
@@ -74,7 +67,14 @@ func (r RetryPolicy) backoff(bench, size, device string, attempt int) time.Durat
 		rng := rand.New(rand.NewSource(int64(h.Sum64())))
 		d = time.Duration(float64(d) * (1 - j*rng.Float64()))
 	}
-	return d
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // applyDecision distorts a successful measurement per the injector's

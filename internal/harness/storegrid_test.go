@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"sync"
@@ -376,6 +377,61 @@ func TestUnknownSizeAndDeviceFailLoudly(t *testing.T) {
 	}
 	if g.Cells() != 1 {
 		t.Fatalf("%d cells, want crc/large only", g.Cells())
+	}
+}
+
+// TestUndecodableStoredCellIsRemeasured: a stored cell whose payload no
+// longer decodes is a miss — measured again and its record overwritten —
+// through a plain store and through the slot cache alike, since both
+// answer the run's one GetDecoded lookup.
+func TestUndecodableStoredCellIsRemeasured(t *testing.T) {
+	reg := suite.New()
+	dev, err := opencl.LookupDevice("gtx1080")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cached := range []bool{false, true} {
+		base, err := store.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st store.CellStore = base
+		if cached {
+			st = store.Cached(base)
+		}
+		spec := tinyStoreSpec(nil)
+		spec.Benchmarks, spec.Devices = []string{"crc"}, []string{"gtx1080"}
+		spec.Store = st
+		// `{}` is valid JSON but decodes to a cell with no device or samples.
+		if err := st.Put(store.Record{
+			Key: CellKey("crc", "tiny", dev.Spec, spec.Options), Benchmark: "crc", Size: "tiny",
+			Device: "gtx1080", Schema: StoreSchemaVersion, Value: json.RawMessage(`{}`),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := GridFromStore(st); err == nil {
+			t.Fatalf("cached=%v: GridFromStore decoded the corrupt cell", cached)
+		}
+
+		g, err := RunGrid(context.Background(), reg, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.Cells() != 1 || g.StoreHits != 0 || g.StoreMisses != 1 {
+			t.Fatalf("cached=%v: %d cells, %d hits / %d misses; want the corrupt cell re-measured",
+				cached, g.Cells(), g.StoreHits, g.StoreMisses)
+		}
+		served, err := GridFromStore(st)
+		if err != nil || !reflect.DeepEqual(served.Measurements, g.Measurements) {
+			t.Fatalf("cached=%v: record not overwritten by the measurement (err %v)", cached, err)
+		}
+		again, err := RunGrid(context.Background(), reg, spec)
+		if err != nil || again.StoreHits != 1 || !reflect.DeepEqual(again.Measurements, g.Measurements) {
+			t.Fatalf("cached=%v: re-sweep after the overwrite: %v, err %v", cached, again, err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -80,8 +80,7 @@ func (c *CachedStore) Stats() CacheStats {
 // the shared value with zero parsing; a miss reads the raw payload from
 // the inner store, decodes it once, publishes the slot and returns it.
 // Concurrent missers may decode twice but always converge on one shared
-// value. Missing keys are (nil, false, nil); a payload decode error is
-// returned without caching, so a later overwrite of the key can recover.
+// value. A decode error is not cached, so an overwrite can recover.
 func (c *CachedStore) GetDecoded(key string, decode DecodeFunc) (any, bool, error) {
 	if v, ok := c.slots.Get(key); ok {
 		c.hits.Add(1)
@@ -167,7 +166,4 @@ func (c *CachedStore) Close() error {
 	return err
 }
 
-var (
-	_ CellStore = (*CachedStore)(nil)
-	_ Decoded   = (*CachedStore)(nil)
-)
+var _ CellStore = (*CachedStore)(nil)

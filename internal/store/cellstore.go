@@ -16,13 +16,16 @@ import (
 
 // CellStore is the persistent fingerprint → record map every consumer
 // programs against. Implementations must be safe for concurrent use.
-//
-// The one optional capability, Decoded, is discovered by type assertion;
-// everything else every store shape implements.
 type CellStore interface {
 	// Get returns the stored payload for key. The returned bytes must not
 	// be modified.
 	Get(key string) (json.RawMessage, bool)
+	// GetDecoded returns key's payload run through decode: (value, true,
+	// nil) when the key exists, (nil, false, nil) when it does not, and a
+	// non-nil error when the stored payload does not decode. A plain or
+	// sharded store decodes on every call; Cached decodes at most once per
+	// cache lifetime and hands every reader the same value.
+	GetDecoded(key string, decode DecodeFunc) (any, bool, error)
 	// Lookup returns the full record for key, or nil.
 	Lookup(key string) *Record
 	// Put persists the record and publishes it (last write wins).
@@ -56,16 +59,7 @@ type CellStore interface {
 
 // DecodeFunc turns a stored payload into its decoded form. Decoders must
 // return a value that is immutable from the caller's point of view: a
-// Decoded store hands the same decoded value to every subsequent reader.
+// Cached store hands the same decoded value to every subsequent reader.
 type DecodeFunc func(raw json.RawMessage) (any, error)
-
-// Decoded is optionally implemented by read paths that can serve a shared,
-// already-decoded cell — the zero-copy hit. GetDecoded returns (value,
-// true, nil) when the key exists (decoding it with decode at most once per
-// cache lifetime), (nil, false, nil) when it does not, and a non-nil error
-// when the stored payload does not decode.
-type Decoded interface {
-	GetDecoded(key string, decode DecodeFunc) (any, bool, error)
-}
 
 var _ CellStore = (*Store)(nil)

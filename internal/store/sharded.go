@@ -70,6 +70,11 @@ func (s *ShardedStore) Dir() string { return s.dir }
 // Get returns the stored payload for key from its owning shard.
 func (s *ShardedStore) Get(key string) (json.RawMessage, bool) { return s.route(key).Get(key) }
 
+// GetDecoded decodes key's payload through its owning shard.
+func (s *ShardedStore) GetDecoded(key string, decode DecodeFunc) (any, bool, error) {
+	return s.route(key).GetDecoded(key, decode)
+}
+
 // Lookup returns the full record for key, or nil.
 func (s *ShardedStore) Lookup(key string) *Record { return s.route(key).Lookup(key) }
 

@@ -189,3 +189,42 @@ func TestShardedValidation(t *testing.T) {
 		t.Fatal("empty key accepted")
 	}
 }
+
+// TestGetDecoded: a plain and a sharded store decode on every call, with
+// the CellStore contract for a missing key, a payload that does not decode
+// and a hit.
+func TestGetDecoded(t *testing.T) {
+	single, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	sharded, err := OpenSharded(t.TempDir(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sharded.Close()
+	for name, st := range map[string]CellStore{"single": single, "sharded": sharded} {
+		for key, raw := range map[string]string{"good": `{"ns":1}`, "bad": `"not a map"`} {
+			if err := st.Put(Record{Key: key, Benchmark: "crc", Size: "tiny", Device: "d", Schema: 1, Value: json.RawMessage(raw)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if v, ok, err := st.GetDecoded("missing", decodeMap); v != nil || ok || err != nil {
+			t.Fatalf("%s: missing key = %v, %v, %v; want nil, false, nil", name, v, ok, err)
+		}
+		if v, ok, err := st.GetDecoded("bad", decodeMap); v != nil || ok || err == nil {
+			t.Fatalf("%s: undecodable payload = %v, %v, %v; want nil, false, an error", name, v, ok, err)
+		}
+		v1, ok, err := st.GetDecoded("good", decodeMap)
+		if !ok || err != nil || v1.(map[string]float64)["ns"] != 1 {
+			t.Fatalf("%s: hit = %v, %v, %v", name, v1, ok, err)
+		}
+		// Uncached stores decode afresh: each hit is a private copy.
+		v2, _, _ := st.GetDecoded("good", decodeMap)
+		v2.(map[string]float64)["ns"] = 2
+		if v1.(map[string]float64)["ns"] != 1 {
+			t.Fatalf("%s: two hits share one decoded value", name)
+		}
+	}
+}

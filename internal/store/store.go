@@ -176,6 +176,20 @@ func (s *Store) Get(key string) (json.RawMessage, bool) {
 	return rec.Value, true
 }
 
+// GetDecoded decodes key's payload afresh on every call; wrap the store
+// in Cached to share one decoded value across readers.
+func (s *Store) GetDecoded(key string, decode DecodeFunc) (any, bool, error) {
+	raw, ok := s.Get(key)
+	if !ok {
+		return nil, false, nil
+	}
+	v, err := decode(raw)
+	if err != nil {
+		return nil, false, err
+	}
+	return v, true, nil
+}
+
 // Lookup returns the full record for key, or nil.
 func (s *Store) Lookup(key string) *Record {
 	sh := s.shard(key)
