@@ -39,8 +39,8 @@ type GridSpec struct {
 	// unchanged grid re-swept against the same store is a 100% hit and
 	// produces value-identical measurements, hence byte-identical exports.
 	// Any CellStore works — a plain directory store, a Sharded fan-out, or
-	// either behind store.Cached, which serves hits as shared decoded
-	// cells with zero re-parsing. Assign only a live store:
+	// either behind store.Cached, which serves hits as decoded cells shared
+	// by every reader of that handle. Assign only a live store:
 	// a typed-nil pointer in the interface reads as "store attached".
 	Store store.CellStore
 	// Faults, when non-nil, injects deterministic failures into every

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"opendwarfs/internal/obs"
 	"opendwarfs/internal/opencl"
 	"opendwarfs/internal/scibench"
 	"opendwarfs/internal/store"
@@ -447,6 +448,8 @@ func TestConcurrentStoreHitReaders(t *testing.T) {
 	}
 	st := store.Cached(base)
 	defer st.Close()
+	metrics := obs.NewRegistry()
+	st.Instrument(metrics)
 	reg := suite.New()
 	spec := tinyStoreSpec(nil)
 	spec.Store = st
@@ -497,7 +500,7 @@ func TestConcurrentStoreHitReaders(t *testing.T) {
 			}
 		}
 	}
-	if s := st.Stats(); s.Hits == 0 {
-		t.Fatalf("no slot hits across %d readers: %+v", readers, s)
+	if hits := metrics.CounterValue("slotcache_hits_total"); hits == 0 {
+		t.Fatalf("no slot hits across %d readers: %d", readers, hits)
 	}
 }

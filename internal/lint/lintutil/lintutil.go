@@ -25,8 +25,8 @@ func SplitList(s string) []string {
 
 // InScope reports whether a package path falls under any scope entry.
 // An entry matches the whole path, a path element, or a subtree root:
-// "store" matches "opendwarfs/internal/store" and
-// "opendwarfs/internal/store/slotcache"; fixture packages match by
+// "obs" matches "opendwarfs/internal/obs" and
+// "opendwarfs/internal/obs/series"; fixture packages match by
 // their single-element path. External test variants ("pkg_test") match
 // as their base package.
 func InScope(pkgPath string, scopes []string) bool {

@@ -2,51 +2,34 @@ package store
 
 import (
 	"encoding/json"
-	"fmt"
-	"sync/atomic"
+	"sync"
 
 	"opendwarfs/internal/obs"
-	"opendwarfs/internal/store/slotcache"
 )
 
 // CachedStore wraps any CellStore with the zero-copy slot cache: a store
-// hit served through GetDecoded returns the shared decoded cell instead of
-// re-parsing its JSONL payload. Slots live in the process-global slotcache
-// registry keyed by the store's file identity, so every CachedStore over
-// one store directory — and every Session, job and query handler behind
-// them — shares one decoded copy of each cell.
+// hit served through GetDecoded returns the handle's shared decoded cell
+// instead of re-parsing its JSONL payload. The slot table belongs to this
+// handle alone, so every reader behind it — a Session, a job, a query
+// handler — shares one decoded copy of each cell, and a slot is always a
+// decoding of this handle's own in-memory payload.
 //
-// Writes invalidate: Put drops the written key's slot (the payload
-// changed), Compact and CompactIfOver drop every slot (conservatively —
-// compaction rewrites the backing files out from under any other handle's
-// raw reads). Close closes the inner store and releases the slot-cache
-// handle; the shared slots survive as long as any other handle holds the
-// same identity.
+// Put drops the written key's slot (the payload changed). Compaction
+// rewrites the backing files but never the in-memory payloads, so it keeps
+// every slot.
 type CachedStore struct {
 	inner CellStore
-	slots slotcache.Cache
 
-	hits, misses, evictions atomic.Int64
+	mu    sync.RWMutex
+	slots map[string]any
 
 	// Metric handles, set by Instrument; nil (no-op) by default.
 	mHits, mMisses, mEvictions *obs.Counter
 }
 
-// CacheStats is a point-in-time snapshot of a CachedStore's traffic.
-type CacheStats struct {
-	Hits, Misses, Evictions int64
-}
-
-// Cached wraps inner with the slot cache. The cache identity is the inner
-// store's directory, so separate handles over the same directory share
-// decoded slots; stores without a directory get a private, unshared
-// identity.
+// Cached wraps inner with an empty slot cache.
 func Cached(inner CellStore) *CachedStore {
-	identity := fmt.Sprintf("anon:%p", inner)
-	if d := inner.Dir(); d != "" {
-		identity = slotcache.FileIdentity(d)
-	}
-	return &CachedStore{inner: inner, slots: slotcache.Acquire(identity)}
+	return &CachedStore{inner: inner, slots: make(map[string]any)}
 }
 
 // Instrument registers the slot-cache counters on reg —
@@ -67,23 +50,17 @@ const (
 	mSlotEvictionsTotal = "slotcache_evictions_total"
 )
 
-// Stats returns the cache's hit/miss/eviction counts so far.
-func (c *CachedStore) Stats() CacheStats {
-	return CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-	}
-}
-
 // GetDecoded serves the decoded form of key's payload: a slot hit returns
 // the shared value with zero parsing; a miss reads the raw payload from
-// the inner store, decodes it once, publishes the slot and returns it.
-// Concurrent missers may decode twice but always converge on one shared
-// value. A decode error is not cached, so an overwrite can recover.
+// the inner store, decodes it outside the lock, publishes the slot and
+// returns it. Concurrent missers may decode twice but all receive the
+// first-published value. A decode error is not cached, so an overwrite can
+// recover.
 func (c *CachedStore) GetDecoded(key string, decode DecodeFunc) (any, bool, error) {
-	if v, ok := c.slots.Get(key); ok {
-		c.hits.Add(1)
+	c.mu.RLock()
+	v, ok := c.slots[key]
+	c.mu.RUnlock()
+	if ok {
 		c.mHits.Inc()
 		return v, true, nil
 	}
@@ -91,29 +68,35 @@ func (c *CachedStore) GetDecoded(key string, decode DecodeFunc) (any, bool, erro
 	if !ok {
 		return nil, false, nil
 	}
-	c.misses.Add(1)
 	c.mMisses.Inc()
-	v, err := c.slots.GetOrFill(key, func() (any, error) { return decode(raw) })
+	v, err := decode(raw)
 	if err != nil {
 		return nil, false, err
 	}
+	c.mu.Lock()
+	if won, ok := c.slots[key]; ok {
+		v = won
+	} else {
+		c.slots[key] = v
+	}
+	c.mu.Unlock()
 	return v, true, nil
 }
 
 // Get returns the raw stored payload; raw reads bypass the slot cache.
 func (c *CachedStore) Get(key string) (json.RawMessage, bool) { return c.inner.Get(key) }
 
-// Lookup returns the full record for key, or nil.
-func (c *CachedStore) Lookup(key string) *Record { return c.inner.Lookup(key) }
-
-// Put writes through to the inner store and invalidates the key's slot —
-// the decoded value no longer matches the payload on disk.
+// Put writes through to the inner store and drops the key's slot — the
+// decoded value no longer matches the payload.
 func (c *CachedStore) Put(rec Record) error {
 	if err := c.inner.Put(rec); err != nil {
 		return err
 	}
-	if c.slots.Invalidate(rec.Key) {
-		c.evictions.Add(1)
+	c.mu.Lock()
+	_, ok := c.slots[rec.Key]
+	delete(c.slots, rec.Key)
+	c.mu.Unlock()
+	if ok {
 		c.mEvictions.Inc()
 	}
 	return nil
@@ -125,45 +108,21 @@ func (c *CachedStore) Records() []*Record { return c.inner.Records() }
 // Len returns the inner store's live record count.
 func (c *CachedStore) Len() int { return c.inner.Len() }
 
-// Compact garbage-collects the inner store and drops every slot.
-func (c *CachedStore) Compact() error {
-	err := c.inner.Compact()
-	c.evict(c.slots.InvalidateAll())
-	return err
-}
+// Compact garbage-collects the inner store; slots survive.
+func (c *CachedStore) Compact() error { return c.inner.Compact() }
 
 // DiskBytes reports the inner store's on-disk footprint.
 func (c *CachedStore) DiskBytes() (int64, error) { return c.inner.DiskBytes() }
 
-// CompactIfOver bounds the inner store's footprint, dropping every slot
-// when a compaction actually ran.
+// CompactIfOver bounds the inner store's footprint; slots survive.
 func (c *CachedStore) CompactIfOver(maxBytes int64) (bool, error) {
-	compacted, err := c.inner.CompactIfOver(maxBytes)
-	if compacted {
-		c.evict(c.slots.InvalidateAll())
-	}
-	return compacted, err
-}
-
-func (c *CachedStore) evict(n int) {
-	if n > 0 {
-		c.evictions.Add(int64(n))
-		c.mEvictions.Add(int64(n))
-	}
+	return c.inner.CompactIfOver(maxBytes)
 }
 
 // Segments reports the inner store's backing-file count.
 func (c *CachedStore) Segments() int { return c.inner.Segments() }
 
-// Dir returns the inner store's directory, or "" when it has none.
-func (c *CachedStore) Dir() string { return c.inner.Dir() }
-
-// Close closes the inner store and releases this handle's reference on the
-// shared slot table.
-func (c *CachedStore) Close() error {
-	err := c.inner.Close()
-	c.slots.Close()
-	return err
-}
+// Close closes the inner store.
+func (c *CachedStore) Close() error { return c.inner.Close() }
 
 var _ CellStore = (*CachedStore)(nil)

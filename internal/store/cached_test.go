@@ -3,12 +3,10 @@ package store
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
 	"opendwarfs/internal/obs"
-	"opendwarfs/internal/store/slotcache"
 )
 
 func decodeMap(raw json.RawMessage) (any, error) {
@@ -30,6 +28,14 @@ func putCached(t *testing.T, c *CachedStore, key, bench string, v any) {
 	}
 }
 
+// slotCounts reads the three slot-cache counters off an Instrumented
+// registry.
+func slotCounts(reg *obs.Registry) (hits, misses, evictions int64) {
+	return reg.CounterValue("slotcache_hits_total"),
+		reg.CounterValue("slotcache_misses_total"),
+		reg.CounterValue("slotcache_evictions_total")
+}
+
 // TestCachedHitMissEviction: the first decoded read is a miss, repeats are
 // hits returning the identical shared value, and Put evicts exactly the
 // written key's slot.
@@ -40,6 +46,8 @@ func TestCachedHitMissEviction(t *testing.T) {
 	}
 	c := Cached(base)
 	defer c.Close()
+	reg := obs.NewRegistry()
+	c.Instrument(reg)
 	putCached(t, c, "k1", "crc", map[string]float64{"ns": 1})
 	putCached(t, c, "k2", "fft", map[string]float64{"ns": 2})
 
@@ -55,22 +63,22 @@ func TestCachedHitMissEviction(t *testing.T) {
 	if fmt.Sprintf("%p", v1) != fmt.Sprintf("%p", v2) {
 		t.Fatalf("repeat read decoded a fresh value: %p vs %p", v1, v2)
 	}
-	if s := c.Stats(); s.Hits != 1 || s.Misses != 1 {
-		t.Fatalf("stats %+v, want 1 hit / 1 miss", s)
+	if hits, misses, _ := slotCounts(reg); hits != 1 || misses != 1 {
+		t.Fatalf("%d hits / %d misses, want 1 / 1", hits, misses)
 	}
 
 	// Missing keys are a clean (nil, false, nil) — not a miss.
 	if _, ok, err := c.GetDecoded("nope", decodeMap); ok || err != nil {
 		t.Fatalf("phantom key: %v, %v", ok, err)
 	}
-	if s := c.Stats(); s.Misses != 1 {
-		t.Fatalf("missing key counted as a cache miss: %+v", s)
+	if _, misses, _ := slotCounts(reg); misses != 1 {
+		t.Fatalf("missing key counted as a cache miss: %d misses", misses)
 	}
 
 	// Overwriting k1 drops its slot; the next read decodes the new payload.
 	putCached(t, c, "k1", "crc", map[string]float64{"ns": 42})
-	if s := c.Stats(); s.Evictions != 1 {
-		t.Fatalf("evictions %d after overwrite, want 1", s.Evictions)
+	if _, _, evictions := slotCounts(reg); evictions != 1 {
+		t.Fatalf("evictions %d after overwrite, want 1", evictions)
 	}
 	v3, _, err := c.GetDecoded("k1", decodeMap)
 	if err != nil {
@@ -79,104 +87,129 @@ func TestCachedHitMissEviction(t *testing.T) {
 	if v3.(map[string]float64)["ns"] != 42 {
 		t.Fatalf("stale value after Put: %v", v3)
 	}
-	if s := c.Stats(); s.Misses != 2 {
-		t.Fatalf("post-eviction read was not a miss: %+v", s)
+	if _, misses, _ := slotCounts(reg); misses != 2 {
+		t.Fatalf("post-eviction read was not a miss: %d misses", misses)
 	}
 }
 
-// TestCachedCompactInvalidatesAll: compaction (direct and size-bounded)
-// rewrites the backing files, so every slot is dropped.
-func TestCachedCompactInvalidatesAll(t *testing.T) {
+// TestCachedCompactKeepsSlots: compaction (direct and size-bounded)
+// rewrites the backing files but not the payloads a slot decodes, so every
+// slot survives it.
+func TestCachedCompactKeepsSlots(t *testing.T) {
 	base, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := Cached(base)
 	defer c.Close()
-	for i := range 3 {
+	reg := obs.NewRegistry()
+	c.Instrument(reg)
+	before := make([]any, 3)
+	for i := range before {
 		putCached(t, c, fmt.Sprintf("k%d", i), "crc", map[string]float64{"ns": float64(i)})
-		if _, _, err := c.GetDecoded(fmt.Sprintf("k%d", i), decodeMap); err != nil {
+		if before[i], _, err = c.GetDecoded(fmt.Sprintf("k%d", i), decodeMap); err != nil {
 			t.Fatal(err)
 		}
 	}
+	same := func(when string) {
+		t.Helper()
+		for i, want := range before {
+			got, ok, err := c.GetDecoded(fmt.Sprintf("k%d", i), decodeMap)
+			if !ok || err != nil {
+				t.Fatalf("k%d lost %s: %v, %v", i, when, ok, err)
+			}
+			if fmt.Sprintf("%p", got) != fmt.Sprintf("%p", want) {
+				t.Fatalf("k%d decoded afresh %s", i, when)
+			}
+		}
+		if _, _, evictions := slotCounts(reg); evictions != 0 {
+			t.Fatalf("evictions %d %s, want 0", evictions, when)
+		}
+	}
+
 	if err := c.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if s := c.Stats(); s.Evictions != 3 {
-		t.Fatalf("evictions %d after Compact, want 3", s.Evictions)
-	}
-	// The cells themselves survive compaction; only the slots were dropped.
-	if _, ok, err := c.GetDecoded("k0", decodeMap); !ok || err != nil {
-		t.Fatalf("k0 lost by compaction: %v, %v", ok, err)
-	}
-
-	// CompactIfOver: a tiny bound forces compaction and drops the refilled
-	// slot; an unbounded store never compacts and keeps it.
+	same("after Compact")
 	compacted, err := c.CompactIfOver(1)
 	if err != nil || !compacted {
 		t.Fatalf("CompactIfOver(1): %v, %v", compacted, err)
 	}
-	if s := c.Stats(); s.Evictions != 4 {
-		t.Fatalf("evictions %d after CompactIfOver, want 4", s.Evictions)
-	}
+	same("after CompactIfOver")
 	if compacted, err := c.CompactIfOver(0); err != nil || compacted {
 		t.Fatalf("CompactIfOver(0) compacted an unbounded store: %v, %v", compacted, err)
 	}
 }
 
-// TestCachedSharedAcrossHandles is the zero-copy identity contract: two
-// CachedStores over one directory share slots (a decode in one is a hit in
-// the other), and the shared table dies with its last handle.
-func TestCachedSharedAcrossHandles(t *testing.T) {
+// TestCachedHandlesDoNotShareStaleSlots: two handles over one directory
+// each decode their own payloads. Once A overwrites k, B's read of its
+// older in-memory payload must not leak into A's decoded reads.
+func TestCachedHandlesDoNotShareStaleSlots(t *testing.T) {
 	dir := t.TempDir()
-	base1, err := Open(dir)
+	baseA, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1 := Cached(base1)
-	putCached(t, c1, "k", "crc", map[string]float64{"ns": 7})
-
-	base2, err := Open(dir)
+	a := Cached(baseA)
+	defer a.Close()
+	putCached(t, a, "k", "crc", map[string]float64{"v": 1})
+	baseB, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2 := Cached(base2)
+	b := Cached(baseB)
+	defer b.Close()
 
-	v1, _, err := c1.GetDecoded("k", decodeMap)
-	if err != nil {
-		t.Fatal(err)
+	putCached(t, a, "k", "crc", map[string]float64{"v": 2})
+	if _, ok, err := b.GetDecoded("k", decodeMap); !ok || err != nil {
+		t.Fatalf("B read: %v, %v", ok, err)
 	}
-	v2, ok, err := c2.GetDecoded("k", decodeMap)
-	if err != nil || !ok {
-		t.Fatalf("second handle read: %v, %v", ok, err)
+	v, ok, err := a.GetDecoded("k", decodeMap)
+	if !ok || err != nil {
+		t.Fatalf("A read: %v, %v", ok, err)
 	}
-	if fmt.Sprintf("%p", v1) != fmt.Sprintf("%p", v2) {
-		t.Fatal("handles over one directory decoded separate values")
-	}
-	if s := c2.Stats(); s.Hits != 1 || s.Misses != 0 {
-		t.Fatalf("second handle stats %+v, want a pure hit", s)
-	}
-
-	// Lifecycle: the registry entry survives the first Close, not the last.
-	if err := c1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := c2.GetDecoded("k", decodeMap); !ok || err != nil {
-		t.Fatalf("slots died with the first handle: %v, %v", ok, err)
-	}
-	if err := c2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ident := slotcache.FileIdentity(dir)
-	probe := slotcache.Acquire(ident)
-	defer probe.Close()
-	if probe.Len() != 0 {
-		t.Fatalf("slot table leaked past the last Close: %d slots", probe.Len())
+	if got := v.(map[string]float64)["v"]; got != 2 {
+		t.Fatalf("A decoded v=%v after its own Put of v=2", got)
 	}
 }
 
-// TestCachedInstrumentAgreesWithStats: the Prometheus counters and the
-// atomic Stats view move together, under concurrency.
+// TestCachedFirstPublishWins: concurrent cold readers may all decode, but
+// every caller converges on the single first-published value.
+func TestCachedFirstPublishWins(t *testing.T) {
+	base, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Cached(base)
+	defer c.Close()
+	putCached(t, c, "k", "crc", map[string]float64{"ns": 1})
+
+	const readers = 16
+	var wg sync.WaitGroup
+	got := make([]any, readers)
+	for i := range readers {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			v, ok, err := c.GetDecoded("k", func(json.RawMessage) (any, error) {
+				return new(int), nil // distinct pointer per decode
+			})
+			if !ok || err != nil {
+				t.Errorf("reader %d: %v, %v", i, ok, err)
+			}
+			got[i] = v
+		}(i)
+	}
+	wg.Wait()
+	for i := 1; i < readers; i++ {
+		if got[i] != got[0] {
+			t.Fatalf("reader %d received a different value than reader 0", i)
+		}
+	}
+}
+
+// TestCachedInstrumentAgreesWithStats: under concurrency the registry's
+// slot-cache counters account for every decoded read exactly once.
 func TestCachedInstrumentAgreesWithStats(t *testing.T) {
 	base, err := Open(t.TempDir())
 	if err != nil {
@@ -205,25 +238,15 @@ func TestCachedInstrumentAgreesWithStats(t *testing.T) {
 	}
 	wg.Wait()
 
-	s := c.Stats()
-	if s.Hits+s.Misses != keys*readers {
-		t.Fatalf("hits %d + misses %d != %d reads", s.Hits, s.Misses, keys*readers)
+	hits, misses, evictions := slotCounts(reg)
+	if hits+misses != keys*readers {
+		t.Fatalf("hits %d + misses %d != %d reads", hits, misses, keys*readers)
 	}
-	if s.Misses < keys {
-		t.Fatalf("only %d misses over %d keys", s.Misses, keys)
+	if misses < keys {
+		t.Fatalf("only %d misses over %d keys", misses, keys)
 	}
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	for metric, want := range map[string]int64{
-		"slotcache_hits_total":      s.Hits,
-		"slotcache_misses_total":    s.Misses,
-		"slotcache_evictions_total": s.Evictions,
-	} {
-		if !strings.Contains(sb.String(), fmt.Sprintf("%s %d", metric, want)) {
-			t.Fatalf("/metrics does not show %s %d:\n%s", metric, want, sb.String())
-		}
+	if evictions != 0 {
+		t.Fatalf("evictions %d with nothing overwritten", evictions)
 	}
 }
 

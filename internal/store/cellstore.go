@@ -23,11 +23,9 @@ type CellStore interface {
 	// GetDecoded returns key's payload run through decode: (value, true,
 	// nil) when the key exists, (nil, false, nil) when it does not, and a
 	// non-nil error when the stored payload does not decode. A plain or
-	// sharded store decodes on every call; Cached decodes at most once per
-	// cache lifetime and hands every reader the same value.
+	// sharded store decodes on every call; Cached decodes once per slot and
+	// hands every reader of the handle the same value.
 	GetDecoded(key string, decode DecodeFunc) (any, bool, error)
-	// Lookup returns the full record for key, or nil.
-	Lookup(key string) *Record
 	// Put persists the record and publishes it (last write wins).
 	Put(rec Record) error
 	// Records returns a stable listing of every live record, sorted by
@@ -49,9 +47,6 @@ type CellStore interface {
 	// Instrument registers the store's counters on reg; a nil registry
 	// de-instruments.
 	Instrument(reg *obs.Registry)
-	// Dir returns the directory backing the store, or "" when it has none
-	// (a Sharded composition of existing stores).
-	Dir() string
 	// Close releases the store's file handles. The store must not be used
 	// afterwards.
 	Close() error

@@ -21,7 +21,6 @@ import (
 // holding the same cells.
 type ShardedStore struct {
 	shards []CellStore
-	dir    string // root directory when built by OpenSharded, else ""
 }
 
 // Sharded composes existing stores into one logical store. At least one
@@ -53,7 +52,7 @@ func OpenSharded(dir string, n int) (*ShardedStore, error) {
 		}
 		shards[i] = st
 	}
-	return &ShardedStore{shards: shards, dir: dir}, nil
+	return &ShardedStore{shards: shards}, nil
 }
 
 // route picks the shard owning key.
@@ -64,9 +63,6 @@ func (s *ShardedStore) route(key string) CellStore {
 // Shards returns the shard count.
 func (s *ShardedStore) Shards() int { return len(s.shards) }
 
-// Dir returns the root directory when the store was built by OpenSharded.
-func (s *ShardedStore) Dir() string { return s.dir }
-
 // Get returns the stored payload for key from its owning shard.
 func (s *ShardedStore) Get(key string) (json.RawMessage, bool) { return s.route(key).Get(key) }
 
@@ -74,9 +70,6 @@ func (s *ShardedStore) Get(key string) (json.RawMessage, bool) { return s.route(
 func (s *ShardedStore) GetDecoded(key string, decode DecodeFunc) (any, bool, error) {
 	return s.route(key).GetDecoded(key, decode)
 }
-
-// Lookup returns the full record for key, or nil.
-func (s *ShardedStore) Lookup(key string) *Record { return s.route(key).Lookup(key) }
 
 // Put persists the record on its owning shard.
 func (s *ShardedStore) Put(rec Record) error {

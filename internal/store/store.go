@@ -190,14 +190,6 @@ func (s *Store) GetDecoded(key string, decode DecodeFunc) (any, bool, error) {
 	return v, true, nil
 }
 
-// Lookup returns the full record for key, or nil.
-func (s *Store) Lookup(key string) *Record {
-	sh := s.shard(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.recs[key]
-}
-
 // Put appends the record to the current segment and publishes it in the
 // index. Re-putting an existing key overwrites it (last write wins).
 func (s *Store) Put(rec Record) error {
@@ -388,9 +380,6 @@ func (s *Store) Close() error {
 	}
 	return nil
 }
-
-// Dir returns the directory backing the store.
-func (s *Store) Dir() string { return s.dir }
 
 // Segments reports how many snapshot/segment files back the store right
 // now — a health metric for the serving layer.

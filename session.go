@@ -97,9 +97,8 @@ type Option func(*Session) error
 // WithStore attaches the persistent result store at dir (created if
 // missing): cells already present are decoded instead of re-measured, new
 // cells are persisted as they complete. The store is opened by NewSession,
-// closed by Session.Close, and wrapped in the process-global slot cache, so
-// repeated reads of one cell — within this session or any other open on the
-// same directory — share a single decoded measurement.
+// closed by Session.Close, and wrapped in the slot cache, so repeated reads
+// of one cell within this session share a single decoded measurement.
 func WithStore(dir string) Option {
 	return func(s *Session) error {
 		if s.st != nil {
