@@ -134,9 +134,13 @@ func TestSSEKeepAliveAndResume(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	// While the job is quiet the connection carries keep-alive comments.
+	// While the job is quiet the connection carries keep-alive comments;
+	// so does a metrics stream with no sampler ticking.
 	c1 := dialSSE(t, ts.URL, j.id, "")
 	c1.readUntil(t, ": keep-alive")
+	ms := dialStream(t, ts.URL, "")
+	(&sseClient{resp: ms.resp, scanner: ms.scanner}).readUntil(t, ": keep-alive")
+	ms.resp.Body.Close()
 
 	// First event arrives with its log index as the SSE id.
 	j.append(wireEvent{Kind: "cell_done", Benchmark: "crc", Done: 1, Total: 3})

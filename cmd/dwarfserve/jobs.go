@@ -404,37 +404,22 @@ func (s *server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, map[string]any{"id": j.id, "state": state})
 }
 
-// handleJobEvents streams the job's event log as Server-Sent Events:
-// replay from the start — or, on reconnect, from the index after the
-// client's Last-Event-ID — then follow live appends until the terminal
-// grid_done event or client disconnect. Each event carries its log index
-// as the SSE id, so a dropped client resumes exactly where it left off:
-//
-//	id: 17
-//	event: cell_done
-//	data: {"kind":"cell_done","benchmark":...}
-//
-// While the job is quiet, a comment frame (": keep-alive") goes out every
-// keep-alive interval so proxies and clients see a live connection.
-func (s *server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	j := s.lookupJob(w, r)
-	if j == nil {
-		return
-	}
+// sseFrame writes one Server-Sent Events frame carrying v as JSON data;
+// false means the stream should end (the client went away).
+type sseFrame func(id uint64, event string, v any) bool
+
+// serveSSE runs one Server-Sent Events stream: the 200 with event-stream
+// headers, then step in a loop. Each step writes its pending frames and
+// returns the channel that signals more, or more=false once the stream is
+// complete; every step is followed by a flush. While the source is quiet a
+// comment frame (": keep-alive") goes out every keep-alive interval so
+// proxies and clients see a live connection. The stream ends when step
+// says so or the client disconnects.
+func (s *server) serveSSE(w http.ResponseWriter, r *http.Request, step func(frame sseFrame) (next <-chan struct{}, more bool)) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, "response writer does not support streaming")
 		return
-	}
-	sent := 0
-	if last := r.Header.Get("Last-Event-ID"); last != "" {
-		n, err := strconv.Atoi(last)
-		// n == MaxInt would wrap sent to a negative log index.
-		if err != nil || n < 0 || n == math.MaxInt {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid Last-Event-ID %q", last))
-			return
-		}
-		sent = n + 1
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -444,22 +429,20 @@ func (s *server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Gauge(mSSESubscribers).Add(1)
 	defer s.metrics.Gauge(mSSESubscribers).Add(-1)
 
+	frame := func(id uint64, event string, v any) bool {
+		data, err := json.Marshal(v)
+		if err != nil {
+			return false
+		}
+		_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", id, event, data)
+		return err == nil
+	}
 	keepAlive := time.NewTicker(s.keepAlive)
 	defer keepAlive.Stop()
 	for {
-		tail, terminal, next := j.follow(sent)
-		for _, ev := range tail {
-			data, err := json.Marshal(ev)
-			if err != nil {
-				return
-			}
-			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", sent, ev.Kind, data); err != nil {
-				return // client went away
-			}
-			sent++
-		}
+		next, more := step(frame)
 		flusher.Flush()
-		if terminal && func() bool { j.mu.Lock(); defer j.mu.Unlock(); return sent >= len(j.events) }() {
+		if !more {
 			return
 		}
 		select {
@@ -473,6 +456,44 @@ func (s *server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+}
+
+// handleJobEvents streams the job's event log as Server-Sent Events:
+// replay from the start — or, on reconnect, from the index after the
+// client's Last-Event-ID — then follow live appends until the terminal
+// grid_done event or client disconnect. Each event carries its log index
+// as the SSE id, so a dropped client resumes exactly where it left off:
+//
+//	id: 17
+//	event: cell_done
+//	data: {"kind":"cell_done","benchmark":...}
+func (s *server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
+	j := s.lookupJob(w, r)
+	if j == nil {
+		return
+	}
+	sent := 0
+	if last := r.Header.Get("Last-Event-ID"); last != "" {
+		n, err := strconv.Atoi(last)
+		// n == MaxInt would wrap sent to a negative log index.
+		if err != nil || n < 0 || n == math.MaxInt {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid Last-Event-ID %q", last))
+			return
+		}
+		sent = n + 1
+	}
+	s.serveSSE(w, r, func(frame sseFrame) (<-chan struct{}, bool) {
+		// follow returns the whole tail and the terminal flag under one
+		// lock, so once a terminal tail is written the log is exhausted.
+		tail, terminal, next := j.follow(sent)
+		for _, ev := range tail {
+			if !frame(uint64(sent), ev.Kind, ev) {
+				return nil, false
+			}
+			sent++
+		}
+		return next, !terminal
+	})
 }
 
 // maxRetainedJobs bounds the registry of a long-lived daemon: once

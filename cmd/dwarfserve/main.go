@@ -1,7 +1,7 @@
 // Command dwarfserve serves a persistent result store over HTTP — the
 // query and execution side of the dwarfsweep/dwarfbench/dwarfpredict
 // -store pipeline. It loads every cell of the store into an in-memory
-// index at startup (the store's own index is sharded by fingerprint; the
+// index at startup (the store's own index is keyed by fingerprint; the
 // server adds O(1) cell addressing by benchmark × size × device) and
 // answers JSON queries:
 //
@@ -81,7 +81,6 @@ func main() {
 	def := predict.DefaultConfig()
 	var (
 		storeDir    = flag.String("store", "", "persistent result store directory (required)")
-		shards      = flag.Int("shards", 1, "shard count for -store: >1 serves an n-way sharded store (shard-NN subdirectories, as written by dwarfsweep -shards)")
 		compactOver = flag.Int64("compact-over", 0, "compact the store after a job reload whenever its on-disk footprint exceeds this many bytes (0 = never)")
 		addr        = flag.String("addr", ":7077", "listen address")
 		trees       = flag.Int("trees", def.Trees, "forest size for /v1/predict")
@@ -104,13 +103,7 @@ func main() {
 	// it: the initial snapshot load, every job, and every reload all share
 	// one decoded measurement per cell, and the cache's hit/miss/evict
 	// counters are complete from process start.
-	var inner store.CellStore
-	var err error
-	if *shards > 1 {
-		inner, err = store.OpenSharded(*storeDir, *shards)
-	} else {
-		inner, err = store.Open(*storeDir)
-	}
+	inner, err := store.Open(*storeDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dwarfserve:", err)
 		os.Exit(1)
@@ -158,8 +151,8 @@ func main() {
 	go srv.runSampler(samplerCtx)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.ListenAndServe() }()
-	log.Printf("dwarfserve: %d cells from %s (%d shard(s), %d segment files), listening on %s",
-		srv.snap.Load().grid.Cells(), *storeDir, *shards, st.Segments(), *addr)
+	log.Printf("dwarfserve: %d cells from %s (%d segment files), listening on %s",
+		srv.snap.Load().grid.Cells(), *storeDir, st.Segments(), *addr)
 
 	select {
 	case err := <-serveErr:

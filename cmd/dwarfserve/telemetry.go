@@ -15,12 +15,12 @@ package main
 // CI gate holds a streaming client's accumulator against a final scrape
 // during a chaos job. A reconnecting client sends the last sample's
 // sequence number as Last-Event-ID; missed samples still in the ring
-// replay as deltas, and a client that outran the ring gets a fresh
-// snapshot (marked "snapshot": true) to reset its accumulator.
+// replay as deltas, and a client that outran the ring — or whose id is
+// ahead of a restarted server's sequence — gets a fresh snapshot (marked
+// "snapshot": true) to reset its accumulator.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -120,91 +120,48 @@ func (s *server) handleMetricsHistory(w http.ResponseWriter, r *http.Request) {
 // A fresh subscriber gets one absolute snapshot frame, then one delta
 // frame per sample; each frame's SSE id is its sample sequence number.
 // On reconnect with Last-Event-ID the missed deltas replay from the
-// ring, or — if the client was gone longer than the ring retains — a
-// new snapshot frame resets it:
+// ring, or — if the client was gone longer than the ring retains, or its
+// id is from an earlier server process — a new snapshot frame resets it:
 //
 //	id: 42
 //	event: snapshot | sample
 //	data: {"seq":42,"unix_ns":...,"counters":{...},...}
 //
-// Quiet intervals carry keep-alive comment frames, exactly like the job
-// event stream.
+// Quiet intervals carry keep-alive comment frames (see serveSSE).
 func (s *server) handleMetricsStream(w http.ResponseWriter, r *http.Request) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, "response writer does not support streaming")
-		return
-	}
-	sent := uint64(0)
-	resumed := false
+	// resync: the client needs a snapshot before any delta — a fresh
+	// subscriber, or one whose Last-Event-ID the ring cannot continue.
+	sent, resync := uint64(0), true
 	if last := r.Header.Get("Last-Event-ID"); last != "" {
 		n, err := strconv.ParseUint(last, 10, 64)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid Last-Event-ID %q", last))
 			return
 		}
-		sent, resumed = n, true
+		sent, resync = n, false
 	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-	s.metrics.Gauge(mSSESubscribers).Add(1)
-	defer s.metrics.Gauge(mSSESubscribers).Add(-1)
-
-	writeFrame := func(event string, p series.Point) bool {
-		data, err := json.Marshal(p)
-		if err != nil {
-			return false
-		}
-		_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", p.Seq, event, data)
-		return err == nil
-	}
-	snapshot := func() bool {
-		p := s.series.SnapshotPoint()
-		if !writeFrame("snapshot", p) {
-			return false
-		}
-		sent = p.Seq
-		return true
-	}
-	if !resumed {
-		if !snapshot() {
-			return
-		}
-		flusher.Flush()
-	}
-
-	keepAlive := time.NewTicker(s.keepAlive)
-	defer keepAlive.Stop()
-	for {
+	s.serveSSE(w, r, func(frame sseFrame) (<-chan struct{}, bool) {
 		next := s.series.Notify()
-		pts, resync := s.series.Since(sent)
+		var pts []series.Point
+		if !resync {
+			pts, resync = s.series.Since(sent)
+		}
 		if resync {
-			if !snapshot() {
-				return
+			p := s.series.SnapshotPoint()
+			if !frame(p.Seq, "snapshot", p) {
+				return nil, false
 			}
+			sent, resync = p.Seq, false
 			pts, _ = s.series.Since(sent)
 		}
 		for _, p := range pts {
-			if !writeFrame("sample", p) {
-				return // client went away
+			if !frame(p.Seq, "sample", p) {
+				return nil, false
 			}
 			sent = p.Seq
 		}
-		flusher.Flush()
-		select {
-		case <-next:
-		case <-keepAlive.C:
-			if _, err := fmt.Fprint(w, ": keep-alive\n\n"); err != nil {
-				return
-			}
-			flusher.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
+		return next, true
+	})
 }
 
 // handleAlerts reports every rule's current evaluation plus the firing

@@ -62,9 +62,8 @@ func main() {
 		boxes      = flag.Bool("boxes", false, "render ASCII box plots per benchmark × size")
 		compare    = flag.String("compare", "", "two device IDs 'a,b': Welch t-test per benchmark × size")
 		storeDir   = flag.String("store", "", "persistent result store directory: cached cells are read, missing cells measured and written")
-		shards     = flag.Int("shards", 1, "shard count for -store: >1 splits the store into shard-NN subdirectories routed by cell fingerprint (must match dwarfserve -shards)")
 		assertHits = flag.Float64("assert-store-hits", -1, "fail unless the store hit rate is ≥ this percentage (requires -store)")
-		compact    = flag.Bool("compact", false, "compact the store into a single snapshot per shard after the sweep (requires -store)")
+		compact    = flag.Bool("compact", false, "compact the store into a single snapshot after the sweep (requires -store)")
 		retries    = flag.Int("retries", 0, "measurement attempts per cell (0/1 = no retry); cells that exhaust them are reported and skipped")
 		backoff    = flag.Duration("retry-backoff", 5*time.Millisecond, "base delay before a retry, doubled per attempt with jitter")
 		chaos      = flag.Bool("chaos", false, "inject deterministic faults into the sweep (see -chaos-* flags)")
@@ -74,8 +73,8 @@ func main() {
 		tracePath  = flag.String("trace", "", "write a Chrome trace-event file of the sweep (open in Perfetto or chrome://tracing)")
 	)
 	flag.Parse()
-	if *storeDir == "" && (*assertHits >= 0 || *compact || *shards != 1) {
-		fmt.Fprintln(os.Stderr, "dwarfsweep: -assert-store-hits, -compact and -shards require -store")
+	if *storeDir == "" && (*assertHits >= 0 || *compact) {
+		fmt.Fprintln(os.Stderr, "dwarfsweep: -assert-store-hits and -compact require -store")
 		os.Exit(1)
 	}
 
@@ -107,17 +106,10 @@ func main() {
 		spec.Tracer = tracer
 	}
 	// The store sits behind the zero-copy slot cache, so a re-sweep's hits
-	// share one decoded cell per key. With -shards > 1 the cache wraps an
-	// n-way sharded store whose layout dwarfserve -shards can serve directly.
+	// share one decoded cell per key.
 	var st *store.CachedStore
 	if *storeDir != "" {
-		var inner store.CellStore
-		var err error
-		if *shards > 1 {
-			inner, err = store.OpenSharded(*storeDir, *shards)
-		} else {
-			inner, err = store.Open(*storeDir)
-		}
+		inner, err := store.Open(*storeDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dwarfsweep:", err)
 			os.Exit(1)

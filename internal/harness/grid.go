@@ -38,9 +38,9 @@ type GridSpec struct {
 	// instead of recomputed, and misses are measured then persisted. An
 	// unchanged grid re-swept against the same store is a 100% hit and
 	// produces value-identical measurements, hence byte-identical exports.
-	// Any CellStore works — a plain directory store, a Sharded fan-out, or
-	// either behind store.Cached, which serves hits as decoded cells shared
-	// by every reader of that handle. Assign only a live store:
+	// Any CellStore works — a plain directory store, or one behind
+	// store.Cached, which serves hits as decoded cells shared by every
+	// reader of that handle. Assign only a live store:
 	// a typed-nil pointer in the interface reads as "store attached".
 	Store store.CellStore
 	// Faults, when non-nil, injects deterministic failures into every

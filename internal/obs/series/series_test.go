@@ -156,6 +156,10 @@ func TestSinceResume(t *testing.T) {
 	if pts, resync := rec.Since(10); resync || pts != nil {
 		t.Fatalf("Since(10) = %v resync=%v, want nil,false", pts, resync)
 	}
+	// Seq 11 is from an earlier process's recorder: resync, do not wait.
+	if pts, resync := rec.Since(11); !resync || pts != nil {
+		t.Fatalf("Since(11) = %v resync=%v, want nil,true", pts, resync)
+	}
 	// Seq 3 fell off the ring: caller must resync from a snapshot.
 	if _, resync := rec.Since(3); !resync {
 		t.Fatal("Since(3) did not demand resync after wrap")

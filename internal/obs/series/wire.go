@@ -72,12 +72,16 @@ func (r *Recorder) SnapshotPoint() Point {
 
 // Since returns the delta Points of every retained sample with sequence
 // number greater than afterSeq, oldest first. resync is true when
-// afterSeq has already fallen off the ring — the caller must send a
-// fresh SnapshotPoint instead (the intervening deltas are gone).
+// afterSeq has already fallen off the ring, or lies beyond the newest
+// sample (a sequence number from an earlier process) — either way the
+// caller must send a fresh SnapshotPoint instead of deltas.
 func (r *Recorder) Since(afterSeq uint64) (pts []Point, resync bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if afterSeq >= r.seq {
+	if afterSeq > r.seq {
+		return nil, true
+	}
+	if afterSeq == r.seq {
 		return nil, false
 	}
 	oldest := r.seq - uint64(r.n) + 1

@@ -4,9 +4,8 @@ package store
 // everything that reads or writes measured cells: the harness's incremental
 // grid runs, predict's training path, the scheduler's cost provider and the
 // dwarfserve query surface all speak CellStore, never *Store. That is what
-// lets one logical store be a plain directory (*Store), a fan-out over N
-// shard directories (Sharded), or either of those behind the zero-copy slot
-// cache (Cached) — composed freely, without any consumer changing.
+// lets a store be a plain directory (*Store) or that directory behind the
+// zero-copy slot cache (Cached) without any consumer changing.
 
 import (
 	"encoding/json"
@@ -22,9 +21,9 @@ type CellStore interface {
 	Get(key string) (json.RawMessage, bool)
 	// GetDecoded returns key's payload run through decode: (value, true,
 	// nil) when the key exists, (nil, false, nil) when it does not, and a
-	// non-nil error when the stored payload does not decode. A plain or
-	// sharded store decodes on every call; Cached decodes once per slot and
-	// hands every reader of the handle the same value.
+	// non-nil error when the stored payload does not decode. A plain store
+	// decodes on every call; Cached decodes once per slot and hands every
+	// reader of the handle the same value.
 	GetDecoded(key string, decode DecodeFunc) (any, bool, error)
 	// Put persists the record and publishes it (last write wins).
 	Put(rec Record) error

@@ -5,10 +5,10 @@
 // later writes win and a store survives crashes mid-append (a torn final
 // line without a newline is discarded, anything else is an error).
 //
-// The in-memory index is sharded: readers and writers of different keys
-// proceed concurrently on separate shard locks, and the segment append path
-// holds its own mutex only for the file write. Compact rewrites the live
-// record set into a fresh snapshot and deletes the replayed segments.
+// The in-memory index is one map behind one RWMutex; readers share it, and
+// the segment append path holds its own mutex only for the file write.
+// Compact rewrites the live record set into a fresh snapshot and deletes
+// the replayed segments.
 package store
 
 import (
@@ -16,7 +16,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
@@ -42,18 +41,14 @@ type Record struct {
 	Value     json.RawMessage `json:"value"`
 }
 
-const nShards = 16
-
-type shard struct {
-	mu   sync.RWMutex
-	recs map[string]*Record
-}
-
 // Store is a persistent fingerprint → record map backed by JSONL segments.
 // All methods are safe for concurrent use.
 type Store struct {
-	dir    string
-	shards [nShards]shard
+	dir string
+
+	// mu guards recs, the live fingerprint → record index.
+	mu   sync.RWMutex
+	recs map[string]*Record
 
 	// wmu serialises segment appends and compaction.
 	wmu      sync.Mutex
@@ -84,15 +79,20 @@ const (
 	mCompactionsTotal = "store_compactions_total"
 )
 
-// Open loads (creating if necessary) the store at dir.
+// Open loads (creating if necessary) the store at dir. A dir holding
+// shard-* subdirectories — the retired multi-directory layout — is refused
+// rather than opened as an empty store; see README for how to merge one.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir}
-	for i := range s.shards {
-		s.shards[i].recs = make(map[string]*Record)
+	shards, _ := filepath.Glob(filepath.Join(dir, "shard-*"))
+	for _, sh := range shards {
+		if fi, err := os.Stat(sh); err == nil && fi.IsDir() {
+			return nil, fmt.Errorf("store: %s holds the retired sharded layout (%s/); merge its shard-* directories into one store first (see README)", dir, filepath.Base(sh))
+		}
 	}
+	s := &Store{dir: dir, recs: make(map[string]*Record)}
 
 	var files []string
 	if _, err := os.Stat(filepath.Join(dir, snapshotName)); err == nil {
@@ -126,10 +126,7 @@ func (s *Store) replay(path string) error {
 	for lineNo := 1; ; lineNo++ {
 		line, err := r.ReadBytes('\n')
 		if err == io.EOF {
-			if len(bytes.TrimSpace(line)) > 0 {
-				return nil // torn tail write, discard
-			}
-			return nil
+			return nil // a non-empty line here is a torn tail write: discard it
 		}
 		if err != nil {
 			return fmt.Errorf("store: %s: %w", path, err)
@@ -144,32 +141,16 @@ func (s *Store) replay(path string) error {
 		if rec.Key == "" {
 			return fmt.Errorf("store: %s line %d: record with empty key", path, lineNo)
 		}
-		sh := s.shard(rec.Key)
-		sh.recs[rec.Key] = &rec
+		s.recs[rec.Key] = &rec
 	}
-}
-
-// FingerprintShard returns key's 16-way fingerprint shard index — the
-// index that partitions the in-memory index, and that Sharded reuses to
-// route keys across store replicas, so in-process and cross-store
-// placement agree by construction.
-func FingerprintShard(key string) int {
-	h := fnv.New32a()
-	io.WriteString(h, key)
-	return int(h.Sum32() % nShards)
-}
-
-func (s *Store) shard(key string) *shard {
-	return &s.shards[FingerprintShard(key)]
 }
 
 // Get returns the stored payload for key. The returned bytes must not be
 // modified.
 func (s *Store) Get(key string) (json.RawMessage, bool) {
-	sh := s.shard(key)
-	sh.mu.RLock()
-	rec, ok := sh.recs[key]
-	sh.mu.RUnlock()
+	s.mu.RLock()
+	rec, ok := s.recs[key]
+	s.mu.RUnlock()
 	if !ok {
 		return nil, false
 	}
@@ -217,13 +198,12 @@ func (s *Store) Put(rec Record) error {
 	// with the segment append, or a concurrent Compact could snapshot
 	// without this record yet delete the segment that carries it, and two
 	// racing Puts of one key could leave the index disagreeing with the
-	// on-disk last-write-wins replay. wmu → shard lock is the only nesting
-	// order in the package (Compact's Records() nests the same way), so
-	// this cannot deadlock.
-	sh := s.shard(rec.Key)
-	sh.mu.Lock()
-	sh.recs[rec.Key] = &rec
-	sh.mu.Unlock()
+	// on-disk last-write-wins replay. wmu → mu is the only nesting order
+	// in the package (Compact's Records() nests the same way), so this
+	// cannot deadlock.
+	s.mu.Lock()
+	s.recs[rec.Key] = &rec
+	s.mu.Unlock()
 	return nil
 }
 
@@ -257,22 +237,16 @@ func (s *Store) openSegmentLocked() error {
 
 // Len returns the number of live records.
 func (s *Store) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		n += len(sh.recs)
-		sh.mu.RUnlock()
-	}
-	return n
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.recs)
 }
 
 // SortRecords sorts recs into the canonical listing order every CellStore
 // implementation must produce from Records: (benchmark, size, device)
 // with the fingerprint key as the final tiebreak. The key makes the order
 // a total one — two records can never compare equal — so the listing is
-// deterministic regardless of map iteration order, segment replay order
-// or which shard each record came from.
+// deterministic regardless of map iteration order or segment replay order.
 func SortRecords(recs []*Record) {
 	sort.Slice(recs, func(i, j int) bool {
 		a, b := recs[i], recs[j]
@@ -293,15 +267,12 @@ func SortRecords(recs []*Record) {
 // SortRecords order — the order the serving layer and exports present
 // cells in.
 func (s *Store) Records() []*Record {
-	var out []*Record
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, rec := range sh.recs {
-			out = append(out, rec)
-		}
-		sh.mu.RUnlock()
+	s.mu.RLock()
+	out := make([]*Record, 0, len(s.recs))
+	for _, rec := range s.recs {
+		out = append(out, rec)
 	}
+	s.mu.RUnlock()
 	SortRecords(out)
 	return out
 }

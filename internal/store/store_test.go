@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -20,6 +22,38 @@ func put(t *testing.T, s *Store, key, bench, size, dev string, v any) {
 	}
 }
 
+// fillStore writes n records with fingerprint keys spread across benchmarks
+// and devices into any CellStore.
+func fillStore(t *testing.T, st CellStore, n int) []Record {
+	t.Helper()
+	recs := make([]Record, 0, n)
+	for i := range n {
+		rec := Record{
+			Key:       Fingerprint("test/cell", 1, i),
+			Benchmark: fmt.Sprintf("bench%d", i%5),
+			Size:      []string{"tiny", "small", "large"}[i%3],
+			Device:    fmt.Sprintf("dev%d", i%4),
+			Schema:    1,
+			Value:     json.RawMessage(fmt.Sprintf(`{"i":%d}`, i)),
+		}
+		if err := st.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
+// listing flattens a store's Records into comparable (key, value) tuples.
+func listing(st CellStore) []string {
+	recs := st.Records()
+	out := make([]string, len(recs))
+	for i, r := range recs {
+		out[i] = r.Key + "=" + string(r.Value)
+	}
+	return out
+}
+
 func TestRoundTripAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -28,6 +62,9 @@ func TestRoundTripAcrossReopen(t *testing.T) {
 	}
 	put(t, s, "k1", "crc", "tiny", "gtx1080", map[string]float64{"ns": 42.5})
 	put(t, s, "k2", "fft", "small", "i7-6700k", map[string]float64{"ns": 7})
+	if err := s.Put(Record{Key: ""}); err == nil {
+		t.Fatal("empty key accepted")
+	}
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", s.Len())
 	}
@@ -129,6 +166,104 @@ func TestCompact(t *testing.T) {
 	}
 	if s3.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", s3.Len())
+	}
+}
+
+// TestCompactionAndFootprint: Compact retires dead segment lines so the
+// footprint shrinks while the listing holds, and CompactIfOver leaves a
+// store under its bound alone but compacts one over it.
+func TestCompactionAndFootprint(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	recs := fillStore(t, s, 40)
+	// Overwrite everything once: half the segment lines are now dead.
+	for _, rec := range recs {
+		rec.Value = json.RawMessage(`{"i":-1}`)
+		if err := s.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := listing(s)
+	before, err := s.DiskBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before <= 0 {
+		t.Fatalf("footprint %d before compaction", before)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := s.DiskBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after >= before {
+		t.Fatalf("compaction grew the store: %d -> %d bytes", before, after)
+	}
+	if got := listing(s); !reflect.DeepEqual(got, want) {
+		t.Fatal("listing changed across compaction")
+	}
+
+	// A generous bound leaves the store alone; a tiny bound compacts.
+	if compacted, err := s.CompactIfOver(after * 100); err != nil || compacted {
+		t.Fatalf("CompactIfOver(generous): %v, %v", compacted, err)
+	}
+	fillStore(t, s, 40) // re-dirty with overwrites
+	if compacted, err := s.CompactIfOver(4); err != nil || !compacted {
+		t.Fatalf("CompactIfOver(tiny): %v, %v", compacted, err)
+	}
+}
+
+// TestOpenRefusesShardedLayout: a directory in the retired shard-NN layout
+// fails Open with an error naming the layout, instead of opening as an
+// empty store whose cells all sit unread in the subdirectories.
+func TestOpenRefusesShardedLayout(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "shard-00"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err == nil {
+		s.Close()
+		t.Fatal("Open accepted a sharded layout")
+	}
+	if !strings.Contains(err.Error(), "sharded layout") || !strings.Contains(err.Error(), "shard-00") {
+		t.Fatalf("error does not name the layout: %v", err)
+	}
+}
+
+// TestGetDecoded: a plain store decodes on every call, with the CellStore
+// contract for a missing key, a payload that does not decode and a hit.
+func TestGetDecoded(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for key, raw := range map[string]string{"good": `{"ns":1}`, "bad": `"not a map"`} {
+		if err := st.Put(Record{Key: key, Benchmark: "crc", Size: "tiny", Device: "d", Schema: 1, Value: json.RawMessage(raw)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v, ok, err := st.GetDecoded("missing", decodeMap); v != nil || ok || err != nil {
+		t.Fatalf("missing key = %v, %v, %v; want nil, false, nil", v, ok, err)
+	}
+	if v, ok, err := st.GetDecoded("bad", decodeMap); v != nil || ok || err == nil {
+		t.Fatalf("undecodable payload = %v, %v, %v; want nil, false, an error", v, ok, err)
+	}
+	v1, ok, err := st.GetDecoded("good", decodeMap)
+	if !ok || err != nil || v1.(map[string]float64)["ns"] != 1 {
+		t.Fatalf("hit = %v, %v, %v", v1, ok, err)
+	}
+	// An uncached store decodes afresh: each hit is a private copy.
+	v2, _, _ := st.GetDecoded("good", decodeMap)
+	v2.(map[string]float64)["ns"] = 2
+	if v1.(map[string]float64)["ns"] != 1 {
+		t.Fatal("two hits share one decoded value")
 	}
 }
 

@@ -113,28 +113,6 @@ func WithStore(dir string) Option {
 	}
 }
 
-// WithShardedStore attaches an n-way sharded result store rooted at dir:
-// shard i lives in dir/shard-NN and cells are routed to shards by their
-// fingerprint, so any process opening the same directory with the same
-// shard count agrees on placement. Listings and grid assembly
-// scatter-gather all shards and are byte-identical to a single store
-// holding the same cells. Like WithStore, the sharded store sits behind
-// the slot cache and is closed by Session.Close. shards must be 1..16;
-// counts dividing 16 balance best.
-func WithShardedStore(dir string, shards int) Option {
-	return func(s *Session) error {
-		if s.st != nil {
-			return fmt.Errorf("opendwarfs: store already configured")
-		}
-		st, err := store.OpenSharded(dir, shards)
-		if err != nil {
-			return err
-		}
-		s.st, s.ownsSt = store.Cached(st), true
-		return nil
-	}
-}
-
 // WithWorkers sets how many cells are measured concurrently. 0 (the
 // default) uses one worker per CPU; 1 runs grids sequentially. Results are
 // identical at every worker count.
