@@ -11,21 +11,26 @@ import (
 	"opendwarfs/internal/suite"
 )
 
-// tinyGrid measures the full 11-benchmark × tiny × 15-device grid once per
-// test binary — the smallest slice that still exercises every benchmark
-// and device.
-func tinyGrid(t *testing.T) *Dataset {
-	t.Helper()
+// tinyMeasured measures the full 11-benchmark × tiny × 15-device grid —
+// the smallest slice that still exercises every benchmark and device.
+func tinyMeasured(tb testing.TB) *harness.Grid {
+	tb.Helper()
 	grid, err := harness.RunGrid(context.Background(), suite.New(), harness.GridSpec{
 		Sizes:   []string{"tiny"},
 		Options: harness.DefaultOptions(),
 	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	ds, err := FromGrid(grid)
+	return grid
+}
+
+// tinyGrid is the runtime dataset of tinyMeasured's grid.
+func tinyGrid(tb testing.TB) *Dataset {
+	tb.Helper()
+	ds, err := FromGrid(tinyMeasured(tb))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return ds
 }
