@@ -3,7 +3,6 @@ package predict
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
@@ -62,14 +61,16 @@ func (c Config) workers(jobs int) int {
 	return w
 }
 
-// forEach runs fn(i) for i in [0,n) across the configured worker count —
-// the same atomic-counter pool RunGrid uses for grid cells. Results must be
-// written to index-addressed slots so the outcome is order-independent.
-func (c Config) forEach(n int, fn func(int)) {
+// forEach runs fn(w, i) for i in [0,n) across c.workers(n) workers — the
+// same atomic-counter pool RunGrid uses for grid cells — where w in
+// [0,c.workers(n)) names the worker running job i, so per-worker scratch
+// needs no locking. Results must be written to index-addressed slots so
+// the outcome is order-independent.
+func (c Config) forEach(n int, fn func(w, i int)) {
 	workers := c.workers(n)
 	if workers == 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(0, i)
 		}
 		return
 	}
@@ -84,7 +85,7 @@ func (c Config) forEach(n int, fn func(int)) {
 				if i >= n {
 					return
 				}
-				fn(i)
+				fn(w, i)
 			}
 		}()
 	}
@@ -108,9 +109,10 @@ func treeSeed(seed int64, t int) int64 {
 }
 
 // TrainRows fits a forest on explicit rows (the cross-validation fold
-// primitive). Trees train concurrently under cfg's worker pool; per-tree
-// importances are reduced in tree order afterwards, so the trained model is
-// bitwise-identical at every worker count.
+// primitive). Each feature column is sorted once per forest; trees train
+// concurrently under cfg's worker pool, each worker reusing one grower's
+// buffers; per-tree importances are reduced in tree order afterwards, so
+// the trained model is bitwise-identical at every worker count.
 func TrainRows(names []string, rows []Row, cfg Config) (*Forest, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -118,14 +120,10 @@ func TrainRows(names []string, rows []Row, cfg Config) (*Forest, error) {
 	if len(rows) < 2*cfg.MinLeaf {
 		return nil, fmt.Errorf("predict: %d rows is too few to train on", len(rows))
 	}
-	x := make([][]float64, len(rows))
-	y := make([]float64, len(rows))
 	for i := range rows {
 		if len(rows[i].Features) != len(names) {
 			return nil, fmt.Errorf("predict: row %d has %d features, want %d", i, len(rows[i].Features), len(names))
 		}
-		x[i] = rows[i].Features
-		y[i] = rows[i].LogNs
 	}
 
 	f := &Forest{
@@ -133,22 +131,19 @@ func TrainRows(names []string, rows []Row, cfg Config) (*Forest, error) {
 		featureNames: names,
 		importance:   make([]float64, len(names)),
 	}
-	perTree := make([][]float64, cfg.Trees)
+	nf := len(names)
+	perTree := make([]float64, cfg.Trees*nf)
+	cols := newColumns(rows, nf)
 	gc := growConfig{maxDepth: cfg.MaxDepth, minLeaf: cfg.MinLeaf, featureFrac: cfg.FeatureFrac}
-	cfg.forEach(cfg.Trees, func(t int) {
-		rng := rand.New(rand.NewSource(treeSeed(cfg.Seed, t)))
-		idx := make([]int, len(rows))
-		for i := range idx {
-			idx[i] = rng.Intn(len(rows))
-		}
-		imp := make([]float64, len(names))
-		f.trees[t] = growTree(x, y, idx, gc, rng, imp)
-		perTree[t] = imp
+	growers := make([]*grower, cfg.workers(cfg.Trees))
+	for w := range growers {
+		growers[w] = newGrower(cols, gc)
+	}
+	cfg.forEach(cfg.Trees, func(w, t int) {
+		f.trees[t] = growers[w].grow(treeSeed(cfg.Seed, t), perTree[t*nf:(t+1)*nf])
 	})
-	for t := range perTree {
-		for i, v := range perTree[t] {
-			f.importance[i] += v
-		}
+	for i, v := range perTree {
+		f.importance[i%nf] += v
 	}
 	return f, nil
 }
