@@ -3,7 +3,7 @@ package data
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // CSR is a compressed-sparse-row matrix, the format of the paper's csr
@@ -36,9 +36,10 @@ func CreateCSR(n int, density float64, seed int64) (*CSR, error) {
 		return nil, fmt.Errorf("data: createcsr density %g out of (0,1]", density)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	m := &CSR{N: n, RowPtr: make([]int32, n+1)}
 	perRow := density * float64(n)
-	cols := map[int32]bool{}
+	nnz := int(perRow*float64(n)) + n // the expectation plus headroom
+	m := &CSR{N: n, RowPtr: make([]int32, n+1), Cols: make([]int32, 0, nnz), Vals: make([]float32, 0, nnz)}
+	seen := make([]bool, n)
 	for i := 0; i < n; i++ {
 		// Binomial-ish draw: floor plus probabilistic extra keeps the
 		// expected density exact even when density·n < 1.
@@ -46,17 +47,20 @@ func CreateCSR(n int, density float64, seed int64) (*CSR, error) {
 		if rng.Float64() < perRow-float64(k) {
 			k++
 		}
-		clear(cols)
-		for len(cols) < k && len(cols) < n {
-			cols[int32(rng.Intn(n))] = true
+		// Draw columns until k distinct ones are found; the row's columns
+		// are then sorted in place and their marks cleared.
+		row := len(m.Cols)
+		for len(m.Cols)-row < min(k, n) {
+			c := int32(rng.Intn(n))
+			if !seen[c] {
+				seen[c] = true
+				m.Cols = append(m.Cols, c)
+			}
 		}
-		sorted := make([]int32, 0, len(cols))
-		for c := range cols {
-			sorted = append(sorted, c)
-		}
-		sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-		for _, c := range sorted {
-			m.Cols = append(m.Cols, c)
+		cols := m.Cols[row:]
+		slices.Sort(cols)
+		for _, c := range cols {
+			seen[c] = false
 			m.Vals = append(m.Vals, float32(rng.Float64()*2-1))
 		}
 		m.RowPtr[i+1] = int32(len(m.Cols))
