@@ -147,6 +147,13 @@ func (s *server) handleMetricsStream(w http.ResponseWriter, r *http.Request) {
 			pts, resync = s.series.Since(sent)
 		}
 		if resync {
+			if seq, _ := s.series.LastSample(); seq == 0 {
+				// Before the sampler's first tick the snapshot would
+				// carry no counters and no sample time; take the first
+				// sample now. The sampler's next tick evaluates alerts
+				// over it.
+				s.series.Sample()
+			}
 			p := s.series.SnapshotPoint()
 			if !frame(p.Seq, "snapshot", p) {
 				return nil, false

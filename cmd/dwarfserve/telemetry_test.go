@@ -238,6 +238,53 @@ func TestMetricsStreamReconciliation(t *testing.T) {
 	c2.resp.Body.Close()
 }
 
+// TestMetricsStreamSnapshotBeforeFirstTick: a subscriber that connects
+// before the sampler has ever ticked still gets a snapshot stamped with a
+// real sample time and carrying the counts of work already finished, and
+// the stream reconciles with /metrics from there.
+func TestMetricsStreamSnapshotBeforeFirstTick(t *testing.T) {
+	srv, _ := newTestServer(t)
+	srv.keepAlive = 20 * time.Millisecond
+	fakeTelemetry(t, srv, 16, defaultAlertRules())
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	id := postJob(t, srv,
+		`{"benchmarks":["crc"],"sizes":["tiny"],"devices":["i7-6700k","k20m"],"samples":6}`,
+		http.StatusAccepted)
+	waitJob(t, srv, id)
+
+	c := dialStream(t, ts.URL, "")
+	event := ""
+	var snap series.Point
+	for c.scanner.Scan() {
+		line := c.scanner.Text()
+		if rest, ok := strings.CutPrefix(line, "event: "); ok {
+			event = rest
+			continue
+		}
+		if rest, ok := strings.CutPrefix(line, "data: "); ok {
+			if err := json.Unmarshal([]byte(rest), &snap); err != nil {
+				t.Fatalf("bad stream frame %q: %v", rest, err)
+			}
+			break
+		}
+	}
+	c.resp.Body.Close()
+	if event != "snapshot" || !snap.Snapshot {
+		t.Fatalf("first frame %q (snapshot=%v), want snapshot", event, snap.Snapshot)
+	}
+	if snap.Seq == 0 || snap.UnixNs == 0 {
+		t.Fatalf("snapshot seq %d unix_ns %d, want a real sample", snap.Seq, snap.UnixNs)
+	}
+	if got := snap.Counters["harness_cells_total"]; got != 2 {
+		t.Fatalf("snapshot harness_cells_total %d, want the job's 2 cells", got)
+	}
+	if got := snap.Counters["jobs_created_total"]; got != 1 {
+		t.Fatalf("snapshot jobs_created_total %d, want 1", got)
+	}
+}
+
 // TestMetricsStreamResync: a client reconnecting from beyond the ring's
 // retention gets a fresh snapshot frame (not deltas) and still
 // reconciles after resetting its accumulator.
