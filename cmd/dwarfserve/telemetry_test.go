@@ -88,6 +88,7 @@ type streamClient struct {
 	scanner *bufio.Scanner
 	acc     map[string]int64 // reconciled absolute counter values
 	lastSeq uint64
+	lastNs  int64 // the last frame's sample time
 }
 
 func dialStream(t *testing.T, base, lastEventID string) *streamClient {
@@ -139,7 +140,7 @@ func (c *streamClient) readFrames(t *testing.T, n int) []string {
 				c.acc[k] += v
 			}
 		}
-		c.lastSeq = p.Seq
+		c.lastSeq, c.lastNs = p.Seq, p.UnixNs
 		kinds = append(kinds, event)
 	}
 	if len(kinds) < n {
@@ -255,32 +256,17 @@ func TestMetricsStreamSnapshotBeforeFirstTick(t *testing.T) {
 	waitJob(t, srv, id)
 
 	c := dialStream(t, ts.URL, "")
-	event := ""
-	var snap series.Point
-	for c.scanner.Scan() {
-		line := c.scanner.Text()
-		if rest, ok := strings.CutPrefix(line, "event: "); ok {
-			event = rest
-			continue
-		}
-		if rest, ok := strings.CutPrefix(line, "data: "); ok {
-			if err := json.Unmarshal([]byte(rest), &snap); err != nil {
-				t.Fatalf("bad stream frame %q: %v", rest, err)
-			}
-			break
-		}
+	defer c.resp.Body.Close()
+	if kinds := c.readFrames(t, 1); kinds[0] != "snapshot" {
+		t.Fatalf("first frame %q, want snapshot", kinds[0])
 	}
-	c.resp.Body.Close()
-	if event != "snapshot" || !snap.Snapshot {
-		t.Fatalf("first frame %q (snapshot=%v), want snapshot", event, snap.Snapshot)
+	if c.lastSeq == 0 || c.lastNs == 0 {
+		t.Fatalf("snapshot seq %d unix_ns %d, want a real sample", c.lastSeq, c.lastNs)
 	}
-	if snap.Seq == 0 || snap.UnixNs == 0 {
-		t.Fatalf("snapshot seq %d unix_ns %d, want a real sample", snap.Seq, snap.UnixNs)
-	}
-	if got := snap.Counters["harness_cells_total"]; got != 2 {
+	if got := c.acc["harness_cells_total"]; got != 2 {
 		t.Fatalf("snapshot harness_cells_total %d, want the job's 2 cells", got)
 	}
-	if got := snap.Counters["jobs_created_total"]; got != 1 {
+	if got := c.acc["jobs_created_total"]; got != 1 {
 		t.Fatalf("snapshot jobs_created_total %d, want 1", got)
 	}
 }

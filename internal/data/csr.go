@@ -37,7 +37,7 @@ func CreateCSR(n int, density float64, seed int64) (*CSR, error) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	perRow := density * float64(n)
-	nnz := int(perRow*float64(n)) + n // the expectation plus headroom
+	nnz := int(perRow*float64(n)) + n // no row draws more than ⌈perRow⌉ columns
 	m := &CSR{N: n, RowPtr: make([]int32, n+1), Cols: make([]int32, 0, nnz), Vals: make([]float32, 0, nnz)}
 	seen := make([]bool, n)
 	for i := 0; i < n; i++ {
@@ -50,7 +50,7 @@ func CreateCSR(n int, density float64, seed int64) (*CSR, error) {
 		// Draw columns until k distinct ones are found; the row's columns
 		// are then sorted in place and their marks cleared.
 		row := len(m.Cols)
-		for len(m.Cols)-row < min(k, n) {
+		for len(m.Cols)-row < k { // k <= n, as density <= 1
 			c := int32(rng.Intn(n))
 			if !seen[c] {
 				seen[c] = true
