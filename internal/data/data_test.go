@@ -301,40 +301,43 @@ func TestMoleculePresetForUnknown(t *testing.T) {
 // sequence (one Float64 per row, Intn until k distinct columns, one
 // Float64 per stored value) cannot drift.
 func TestCreateCSRGolden(t *testing.T) {
-	want := map[int][3]string{
-		736: {
+	cases := []struct {
+		n    int
+		want [3]string // seeds 1, 2, 7
+	}{
+		{736, [3]string{
 			"d1aec7070693f35bcab37db9b0af8ab7668252ca194d0fcc7df9dae2b2b12604",
 			"903a8e127d409404672fd55fc7559e0e21f47b448811373ac78fe08ae1a0af94",
 			"cc2b1104bff05d62364398630eb76a6f559541fcae852aff99cde5536ffd2244",
-		},
-		2416: {
+		}},
+		{2416, [3]string{
 			"20c6fabda7fccdf40c6f81a9836c492605779fe65253c7860246541ccb569b8e",
 			"ae29453682ff874f44ba892b9940f3c867ec462c1ec6633a020a562f818899ea",
 			"78c6b507cda4c0228e59ceaf6616b28a7e0206782f0217edc0280c468ecfff07",
-		},
-		14336: {
+		}},
+		{14336, [3]string{
 			"7ddc4bdc06630ba1991d662a2776f0306f4867a9d9f7ef72b99df6e3f647cc82",
 			"fcfd63962774af52b3e98391d123f7bd5eb33e054d208366e31b2429aedec1a5",
 			"7bcab300d775f77597f0b09a94a3c48cea0e8c4fdfe54b7a26586bbe4f7b880c",
-		},
-		16384: {
+		}},
+		{16384, [3]string{
 			"bd7de0d13ea7128f0a4fbaa31f4c001b993e62bd584263386d8666f07b64fe9f",
 			"7dc761669fea31fcde8825e470659ae18f82f9c583c31e3074d6ad7c25318c91",
 			"d69985d6b93fd4fc63a8e62641583d9c0de7334cd0359372a070efe831564b56",
-		},
+		}},
 	}
-	for _, n := range []int{736, 2416, 14336, 16384} {
+	for _, c := range cases {
 		for i, seed := range []int64{1, 2, 7} {
-			m, err := CreateCSR(n, 0.005, seed)
+			m, err := CreateCSR(c.n, 0.005, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			h := sha256.New()
+			h := sha256.New() // hash writes never fail
 			binary.Write(h, binary.LittleEndian, m.RowPtr)
 			binary.Write(h, binary.LittleEndian, m.Cols)
 			binary.Write(h, binary.LittleEndian, m.Vals)
-			if got := hex.EncodeToString(h.Sum(nil)); got != want[n][i] {
-				t.Errorf("n=%d seed=%d: hash %s, want %s", n, seed, got, want[n][i])
+			if got := hex.EncodeToString(h.Sum(nil)); got != c.want[i] {
+				t.Errorf("n=%d seed=%d: hash %s, want %s", c.n, seed, got, c.want[i])
 			}
 		}
 	}
